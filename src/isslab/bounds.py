@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
 from .orlicz import YoungFunction, luxemburg_norm
-from .signals import Interval, Signal, exp_weight
+from .signals import _EXP_OVERFLOW, Interval, Signal, exp_weight
 
 __all__ = [
     "BoundParams",
@@ -40,8 +40,6 @@ __all__ = [
     "linf_bound_constant",
     "audit",
 ]
-
-_EXP_OVERFLOW = 700.0
 
 
 @dataclass(frozen=True)
@@ -142,16 +140,19 @@ def gamma2(s: float) -> float:
     return s + 0.5 * s * s
 
 
-def gamma_fp(C: float, r: float) -> float:
-    """K-infinity gain of the Fokker-Planck ISS estimate."""
+def gamma_fp(C: float, r):
+    """K-infinity gain of the Fokker-Planck ISS estimate; r is a scalar
+    (returns a float) or an array (returns an array of the same shape)."""
     if C <= 0:
         raise DomainError("gamma_fp needs C > 0")
-    if r < 0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise DomainError("gamma_fp needs r >= 0")
-    root = math.sqrt(r)
-    if C * root > _EXP_OVERFLOW:
+    root = np.sqrt(r)
+    if np.any(C * root > _EXP_OVERFLOW):
         raise NumericError("gamma_fp: exponent C*sqrt(r) exceeds overflow guard")
-    return C * r * math.exp(C * root) + C * root + C * r
+    gain = C * r * np.exp(C * root) + C * root + C * r
+    return float(gain) if gain.ndim == 0 else gain
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import jsonschema
@@ -146,13 +144,10 @@ def _parse_field(spec, J: int) -> np.ndarray:
     if isinstance(spec, list):
         out = np.asarray(spec, dtype=float)
     else:
-        out = np.broadcast_to(
-            np.asarray(
-                eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x}),
-                dtype=float,
-            ),
-            x.shape,
-        ).copy()
+        # non-finite samples are rejected by build_model, not warned about
+        with np.errstate(all="ignore"):
+            value = eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+        out = np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
         if spec.get("clamp"):
             out = fp.clamp_end_slopes(out)
     return out
@@ -163,7 +158,7 @@ def _parse_field(spec, J: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_orlicz_norm(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_orlicz_norm(params: dict, seed, out_dir: Path) -> dict:
     phi = _parse_young(params["young"])
     u = _parse_signal(params["signal"], seed)
     tol = params.get("tol", 1e-12)
@@ -172,7 +167,7 @@ def _cmd_orlicz_norm(params: dict, seed, out_dir: Path, jobs: int) -> dict:
     return {"norm": norm, "pass": True}
 
 
-def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     model = diagonal.example3_model(params["N"])
     T = params["T"]
     u1 = _parse_signal(params["u1"], seed) if "u1" in params else None
@@ -210,7 +205,7 @@ def _build_fp(params: dict) -> fp.FPModel:
     return fp.build_model(params["nu"], W, alpha, J)
 
 
-def _cmd_simulate_fp(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
     model = _build_fp(params)
     u = _parse_signal(params["u"], seed) if "u" in params else None
     rho_inf = fp.stationary_density(model)
@@ -233,7 +228,7 @@ def _cmd_simulate_fp(params: dict, seed, out_dir: Path, jobs: int) -> dict:
             "pass": drift <= 1e-9}
 
 
-def _cmd_audit_iss(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
     model = diagonal.example3_model(params["N"])
     T = params["T"]
     amplitude = params.get("amplitude", 1.0)
@@ -249,23 +244,18 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path, jobs: int) -> dict:
         m=params.get("m", 1.0), C_B1=c_b1,
     )
     times = np.linspace(0.0, T, params.get("samples", 41))
-
-    def one_case(i: int):
+    rows = []
+    for i in range(n_cases):
         case_seed = base_seed + i
         rng = np.random.Generator(np.random.Philox(case_seed))
         x0 = rng.uniform(-1.0, 1.0, params["N"])
         u1 = random_signal(case_seed + 10_000, 1, Interval(0.0, T), cells, amplitude)
+        x0_norm = float(np.linalg.norm(x0))
         traj = diagonal.closed_form_trajectory(model, x0, u1, times)
-        rhs = [
-            bounds.iss_rhs(bp, float(np.linalg.norm(x0)), u1, None, phi, phi, t)
-            for t in times
-        ]
+        rhs = [bounds.iss_rhs(bp, x0_norm, u1, None, phi, phi, t) for t in times]
         rep = bounds.audit(traj, np.asarray(rhs), tol=params.get("tol", 1e-6))
-        return [i, case_seed, float(np.linalg.norm(x0)), rep.max_violation,
-                rep.min_slack_ratio, rep.passed]
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(one_case, range(n_cases)))
+        rows.append([i, case_seed, x0_norm, rep.max_violation,
+                     rep.min_slack_ratio, rep.passed])
     _write_csv(
         out_dir / "results.csv",
         ["case", "seed", "x0_norm", "max_violation", "min_slack_ratio", "pass"],
@@ -276,7 +266,7 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path, jobs: int) -> dict:
             "pass": n_pass == n_cases}
 
 
-def _cmd_admissibility_scan(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
     rows = diagonal.lp_admissibility_scan(
         params.get("p", 2.0), params["N_list"], params.get("t", math.inf)
     )
@@ -296,7 +286,7 @@ def _cmd_admissibility_scan(params: dict, seed, out_dir: Path, jobs: int) -> dic
     }
 
 
-def _cmd_fp_gap(params: dict, seed, out_dir: Path, jobs: int) -> dict:
+def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
     model = _build_fp(params)
     gap = fp.spectral_gap(model)
     rho_inf = fp.stationary_density(model)
@@ -326,8 +316,7 @@ _DISPATCH = {
 }
 
 
-def run(config: dict, out_dir: Path, seed: int | None, jobs: int,
-        config_bytes: bytes) -> int:
+def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> int:
     jsonschema.validate(config, CONFIG_SCHEMA)
     command = config["command"]
     eff_seed = seed if seed is not None else config.get("seed")
@@ -344,7 +333,7 @@ def run(config: dict, out_dir: Path, seed: int | None, jobs: int,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
-    result = _DISPATCH[command](config["params"], eff_seed, out_dir, jobs)
+    result = _DISPATCH[command](config["params"], eff_seed, out_dir)
     summary.update(result)
     _write_summary(out_dir, summary)
     return 0 if summary.get("pass", True) else 1
@@ -390,8 +379,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("ISSLAB_JOBS", "4")))
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility and ignored: runs are serial")
     p_run.add_argument("--quiet", action="store_true")
     p_rep = sub.add_parser("report", help="aggregate run directories")
     p_rep.add_argument("dirs", nargs="*")
@@ -414,7 +403,7 @@ def main(argv=None) -> int:
         return 2
     out_dir = Path(args.out or config.get("out_dir", "."))
     try:
-        code = run(config, out_dir, args.seed, max(1, args.jobs), config_bytes)
+        code = run(config, out_dir, args.seed, config_bytes)
     except jsonschema.ValidationError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from scipy.integrate import simpson
 from .errors import DataError, DomainError, NumericError
 from .mild_solver import SystemModel, Trajectory
 from .orlicz import YoungFunction, luxemburg_norm
-from .signals import Signal
+from .signals import _EXP_OVERFLOW, Signal
 
 __all__ = [
     "DiagonalModel",
@@ -47,8 +47,6 @@ __all__ = [
 
 # constant in the small-norm certificate k_n = ln(Cn)/n
 KN_CONSTANT = math.log(2.0) + math.log(2.0 * math.e)
-
-_EXP_OVERFLOW = 700.0
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ form with arithmetic-mean drift interpolation and half-cell boundary rows,
     (A rho)_i = (F_{i+1/2} - F_{i-1/2})/h   (boundary rows divide by h/2),
 
 so the trapezoid-weighted column sums vanish identically and time stepping
-conserves mass to round-off.  Time integration is Crank-Nicolson with a
-direct tridiagonal solve; the control is frozen per step, which is exact
-in time for piecewise-constant inputs.
+conserves mass to round-off.  Both operators are stored only as their three
+bands (see FPModel).  Time integration is Crank-Nicolson with a direct
+tridiagonal solve; the control is frozen per step, which is exact in time
+for piecewise-constant inputs.
 
 The stationary density is the Gibbs kernel e^{-W/nu} (normalized); the
 decay rate toward it is the spectral gap of the generator symmetrized by
@@ -29,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.sparse import dia_array
 
 from .bounds import AuditReport, audit, gamma_fp
 from .errors import ContractError, DataError, DomainError, NumericError
@@ -78,15 +80,17 @@ class DensityField:
 @dataclass(frozen=True)
 class FPModel:
     """Assembled discrete model: generator A (diffusion + potential drift),
-    control generator B (drift along alpha), trapezoid weights."""
+    control generator B (drift along alpha), trapezoid weights.  A and B are
+    tridiagonal dia_arrays with offsets [1, 0, -1], so their .data is
+    solve_banded's (1, 1) layout: A[i-1, i], A[i, i], A[i+1, i] in column i."""
 
     J: int
     nu: float
     grid: np.ndarray
     W: np.ndarray
     alpha: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
+    A: dia_array
+    B: dia_array
     weights: np.ndarray
 
     @property
@@ -103,23 +107,19 @@ def clamp_end_slopes(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flux_operator(P: np.ndarray, nu: float, h: float) -> np.ndarray:
-    """Tridiagonal operator rho -> d/dx (nu d rho + rho dP)."""
-    J = P.size - 1
-    A = np.zeros((J + 1, J + 1))
+def _flux_operator(P: np.ndarray, nu: float, h: float, cell: np.ndarray) -> dia_array:
+    """Tridiagonal operator rho -> d/dx (nu d rho + rho dP) on cells of width cell."""
+    n = P.size
     drift = np.diff(P) / h  # dP at the J faces
     # face i+1/2 coefficients: F = c_lo * rho_i + c_hi * rho_{i+1}
     c_lo = -nu / h + 0.5 * drift
     c_hi = nu / h + 0.5 * drift
-    for i in range(J + 1):
-        cell = h if 0 < i < J else h / 2.0
-        if i < J:  # outgoing face i+1/2
-            A[i, i] += c_lo[i] / cell
-            A[i, i + 1] += c_hi[i] / cell
-        if i > 0:  # incoming face i-1/2
-            A[i, i - 1] -= c_lo[i - 1] / cell
-            A[i, i] -= c_hi[i - 1] / cell
-    return A
+    bands = np.zeros((3, n))
+    bands[0, 1:] = c_hi / cell[:-1]  # outgoing face of row i, column i+1
+    bands[1, :-1] += c_lo / cell[:-1]
+    bands[1, 1:] -= c_hi / cell[1:]  # incoming face of row i, column i
+    bands[2, :-1] = -c_lo / cell[1:]  # incoming face of row i+1, column i
+    return dia_array((bands, [1, 0, -1]), shape=(n, n))
 
 
 def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
@@ -137,16 +137,18 @@ def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
     )
     if W.shape != (J + 1,) or alpha.shape != (J + 1,):
         raise DataError(f"W and alpha must supply {J + 1} node samples")
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(alpha))):
+        raise DataError("W and alpha must be finite at every node")
     end_slopes = (abs(alpha[1] - alpha[0]) / h, abs(alpha[-1] - alpha[-2]) / h)
     if max(end_slopes) > 1e-10:
         raise ContractError(
             "alpha must have zero one-sided slope at both ends "
             f"(got {end_slopes}); see clamp_end_slopes"
         )
-    A = _flux_operator(W, nu, h)
-    B = _flux_operator(alpha, 0.0, h)
     weights = np.full(J + 1, h)
     weights[0] = weights[-1] = h / 2.0
+    A = _flux_operator(W, nu, h, weights)
+    B = _flux_operator(alpha, 0.0, h, weights)
     return FPModel(J=J, nu=nu, grid=grid, W=W, alpha=alpha, A=A, B=B, weights=weights)
 
 
@@ -181,13 +183,21 @@ def l2_norm(m: FPModel, v: np.ndarray) -> float:
     return float(math.sqrt(np.sum(m.weights * np.asarray(v) ** 2)))
 
 
-def _as_banded(T: np.ndarray) -> np.ndarray:
-    n = T.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = np.diag(T, 1)
-    ab[1] = np.diag(T)
-    ab[2, :-1] = np.diag(T, -1)
-    return ab
+def _cn_advance(m: FPModel, values: np.ndarray, u_cell: float, dt: float) -> np.ndarray:
+    """Node values after one Crank-Nicolson step of (A + u_cell B)."""
+    half = 0.5 * dt * (m.A.data + u_cell * m.B.data)
+    rhs = values + half[1] * values  # (I + half) values, band by band
+    rhs[:-1] += half[0, 1:] * values[1:]
+    rhs[1:] += half[2, :-1] * values[:-1]
+    lhs = -half
+    lhs[1] += 1.0
+    try:
+        new = solve_banded((1, 1), lhs, rhs, overwrite_ab=True, overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"step: Crank-Nicolson solve failed ({exc}); reduce dt")
+    if not np.all(np.isfinite(new)):
+        raise NumericError("step: Crank-Nicolson produced non-finite values; reduce dt")
+    return new
 
 
 def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityField:
@@ -195,17 +205,7 @@ def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityFiel
     frozen at u_cell."""
     if dt <= 0:
         raise DomainError("dt must be > 0")
-    L = m.A + u_cell * m.B
-    eye = np.eye(m.J + 1)
-    lhs = eye - 0.5 * dt * L
-    rhs = (eye + 0.5 * dt * L) @ rho.values
-    try:
-        new = solve_banded((1, 1), _as_banded(lhs), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"step: Crank-Nicolson solve failed ({exc}); reduce dt")
-    if not np.all(np.isfinite(new)):
-        raise NumericError("step: Crank-Nicolson produced non-finite values; reduce dt")
-    return DensityField(m.grid, new)
+    return DensityField(m.grid, _cn_advance(m, rho.values, u_cell, dt))
 
 
 def project_P(m: FPModel, y: DensityField) -> DensityField:
@@ -220,18 +220,25 @@ def spectral_gap(m: FPModel) -> dict:
 
     Similarity transform: S = D^{1/2} M A M^{-1} D^{-1/2} with
     M = diag(e^{Phi/2}), Phi = ln(nu) + W/nu, and D the trapezoid weights;
-    the residual asymmetry (reported as symmetry_defect) is averaged away
-    before the dense symmetric eigensolve.  Returns omega = |second
-    largest eigenvalue|, the near-zero top eigenvalue, and the angle
-    between the computed kernel vector and the predicted e^{-Phi/2}.
+    the residual asymmetry of the tridiagonal S (reported as symmetry_defect)
+    is averaged away before the top two eigenpairs are solved for.  Returns
+    omega = |second largest eigenvalue|, the near-zero top eigenvalue, and
+    the angle between the computed kernel vector and the predicted e^{-Phi/2}.
     """
     phi_vec = math.log(m.nu) + m.W / m.nu
     mvec = np.exp(0.5 * phi_vec)
     dsq = np.sqrt(m.weights)
-    S = (dsq * mvec)[:, None] * m.A * (1.0 / (dsq * mvec))[None, :]
-    defect = float(np.linalg.norm(S - S.T) / np.linalg.norm(S))
-    Ssym = 0.5 * (S + S.T)
-    vals, vecs = eigh(Ssym)
+    left, right = dsq * mvec, 1.0 / (dsq * mvec)
+    bands = m.A.data
+    diag = left * bands[1] * right
+    upper = left[:-1] * bands[0, 1:] * right[1:]
+    lower = left[1:] * bands[2, :-1] * right[:-1]
+    norm2 = np.sum(diag**2) + np.sum(upper**2) + np.sum(lower**2)
+    defect = math.sqrt(2.0 * np.sum((upper - lower) ** 2) / norm2)
+    n = diag.size
+    vals, vecs = eigh_tridiagonal(
+        diag, 0.5 * (upper + lower), select="i", select_range=(n - 2, n - 1)
+    )
     lam0 = vals[-1]
     omega = float(abs(vals[-2]))
     if omega <= 0:
@@ -244,7 +251,6 @@ def spectral_gap(m: FPModel) -> dict:
         "lambda0": float(lam0),
         "e0_check": float(math.acos(min(cosang, 1.0))),
         "symmetry_defect": defect,
-        "eigenvalues": vals,
     }
 
 
@@ -260,37 +266,43 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     that the zero-input equilibrium run reads as identically zero."""
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be > 0")
-    rho_inf = discrete_stationary_density(m)
+    rho_inf = discrete_stationary_density(m).values
     n_steps = int(round(T / dt))
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    controls = np.zeros(n_steps)
+    if u is not None and n_steps:
+        t_mid = times[:-1] + 0.5 * dt
+        if t_mid[0] < u.grid[0] or t_mid[-1] > u.grid[-1]:
+            raise DomainError(f"simulate: input does not cover [0, {times[-1]}]")
+        cells = np.searchsorted(u.grid, t_mid, side="right") - 1
+        controls = u.values[np.minimum(cells, len(u.values) - 1), 0]
     devs = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
-    rho = rho0
-    devs[0] = l2_norm(m, rho.values - rho_inf.values)
-    masses[0] = rho.mass
-    for i in range(n_steps):
-        t_mid = times[i] + 0.5 * dt
-        u_cell = float(u.value_at(t_mid)[0]) if u is not None else 0.0
-        rho = step(m, rho, u_cell, dt)
-        devs[i + 1] = l2_norm(m, rho.values - rho_inf.values)
-        masses[i + 1] = rho.mass
+    v = rho0.values
+    devs[0] = l2_norm(m, v - rho_inf)
+    masses[0] = rho0.mass
+    for i, u_cell in enumerate(controls.tolist()):
+        v = _cn_advance(m, v, u_cell, dt)
+        devs[i + 1] = l2_norm(m, v - rho_inf)
+        masses[i + 1] = np.trapezoid(v, m.grid)
     return times, devs, masses
 
 
-def _input_energy(u: Signal | None, t: float) -> float:
-    """Exact int_0^t ||u(s)||^2 ds for piecewise-constant u."""
-    if u is None or t == 0.0:
-        return 0.0
-    hi = np.minimum(u.grid[1:], t)
-    lo = np.minimum(u.grid[:-1], t)
-    return float(np.sum((hi - lo) * np.sum(u.values**2, axis=1)))
+def _input_energy(u: Signal | None, t):
+    """Exact int_0^t ||u(s)||^2 ds for piecewise-constant u, whose running
+    energy is linear between breakpoints; t is a time or an array of
+    times."""
+    if u is None:
+        return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+    cell_energy = u.widths * np.sum(u.values**2, axis=1)
+    energy = np.interp(t, u.grid, np.concatenate(([0.0], np.cumsum(cell_energy))))
+    return float(energy) if np.ndim(t) == 0 else energy
 
 
 def _rhs_curve(times: np.ndarray, dev0: float, energies: np.ndarray,
                C: float, omega: float) -> np.ndarray:
     decay = C * np.exp(-omega * times) * (dev0 + dev0**2)
-    gains = np.array([gamma_fp(C, r) for r in energies])
-    return decay + gains
+    return decay + gamma_fp(C, energies)
 
 
 def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> float:
@@ -315,8 +327,6 @@ def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> fl
                 raise NumericError("fit_gain_constant: no finite C fits the data")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if mid <= 0:
-                break
             rhs = _rhs_curve(times, dev0, energies, mid, omega)
             if np.all(devs <= rhs):
                 hi = mid
@@ -340,8 +350,7 @@ def run_fp_iss_experiment(m: FPModel, rho0: DensityField, u: Signal | None,
     if omega is None:
         omega = spectral_gap(m)["omega"]
     times, devs, _ = simulate(m, rho0, u, T, dt)
-    energies = np.array([_input_energy(u, t) for t in times])
-    rhs = _rhs_curve(times, devs[0], energies, fitC, omega)
+    rhs = _rhs_curve(times, devs[0], _input_energy(u, times), fitC, omega)
     traj = Trajectory(times, devs.reshape(-1, 1))
     return audit(traj, rhs, tol=tol)
 

@@ -78,6 +78,7 @@ def test_gamma_fp_values():
     grid = np.linspace(0.0, 10.0, 40)
     vals = [gamma_fp(0.7, r) for r in grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    assert np.array_equal(gamma_fp(0.7, grid), vals)
 
 
 def test_iss_rhs_reduces_to_pieces():

@@ -128,6 +128,18 @@ def test_fp_gap_command(tmp_path):
     assert summary["omega"] == pytest.approx(9.8656, rel=1e-3)
 
 
+def test_non_finite_fp_field_exits_2(tmp_path, capsys):
+    params = {"nu": 0.5, "J": 32, "T": 0.1, "dt": 1e-3}
+    for command, expr in (("fp-gap", "1/x"), ("fp-gap", "log(x)"),
+                          ("simulate-fp", "1/x")):
+        cfg = write_config(tmp_path, "c.json", {
+            "command": command, "params": {**params, "W": {"expr": expr}},
+        })
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert code == 2, (command, expr)
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_simulate_fp_command(tmp_path):
     cfg = write_config(
         tmp_path,

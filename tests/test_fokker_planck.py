@@ -2,14 +2,82 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isslab import fokker_planck as fp
-from isslab.errors import ContractError, DomainError
+from isslab.errors import ContractError, DataError, DomainError
 from isslab.signals import Interval, Signal, random_signal
 
 
 def uniform_model(J=64, nu=1.0):
     return fp.build_model(nu, lambda x: 0 * x, lambda x: 0 * x, J)
+
+
+def dense_flux_operator(P, nu, h):
+    """Reference assembly: the flux-form operator built row by row as a
+    dense (J+1) x (J+1) matrix."""
+    J = P.size - 1
+    A = np.zeros((J + 1, J + 1))
+    drift = np.diff(P) / h
+    c_lo = -nu / h + 0.5 * drift
+    c_hi = nu / h + 0.5 * drift
+    for i in range(J + 1):
+        cell = h if 0 < i < J else h / 2.0
+        if i < J:  # outgoing face i+1/2
+            A[i, i] += c_lo[i] / cell
+            A[i, i + 1] += c_hi[i] / cell
+        if i > 0:  # incoming face i-1/2
+            A[i, i - 1] -= c_lo[i - 1] / cell
+            A[i, i] -= c_hi[i - 1] / cell
+    return A
+
+
+def dense_cn_step(L, v, dt):
+    eye = np.eye(v.size)
+    return np.linalg.solve(eye - 0.5 * dt * L, (eye + 0.5 * dt * L) @ v)
+
+
+def cosine_series(coeffs, x):
+    return sum(c * np.cos((k + 1) * np.pi * x) for k, c in enumerate(coeffs))
+
+
+_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(J=st.integers(16, 96), nu=st.floats(0.2, 1.0), w_coeffs=_coeffs,
+       a_coeffs=_coeffs, u=st.floats(-2.0, 2.0), dt=st.floats(1e-4, 1e-2))
+def test_banded_operators_match_dense_reference(J, nu, w_coeffs, a_coeffs, u, dt):
+    x = np.linspace(0.0, 1.0, J + 1)
+    W = cosine_series(w_coeffs, x)
+    alpha = fp.clamp_end_slopes(cosine_series(a_coeffs, x))
+    m = fp.build_model(nu, W, alpha, J)
+    A_ref = dense_flux_operator(W, nu, m.h)
+    B_ref = dense_flux_operator(alpha, 0.0, m.h)
+    for op, ref in ((m.A, A_ref), (m.B, B_ref)):
+        assert np.max(np.abs(op.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    rho = fp.DensityField(x, 1.0 + 0.5 * np.cos(np.pi * x))
+    after = fp.step(m, rho, u, dt)
+    ref = dense_cn_step(A_ref + u * B_ref, rho.values, dt)
+    assert np.max(np.abs(after.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert abs(after.mass - rho.mass) <= 1e-12
+
+
+@pytest.mark.parametrize("J", [64, 128])
+def test_spectral_gap_matches_dense_eigh(J):
+    nu = 0.5
+    x = np.linspace(0.0, 1.0, J + 1)
+    W = np.cos(2 * np.pi * x) / 2
+    m = fp.build_model(nu, W, fp.clamp_end_slopes(np.sin(np.pi * x)), J)
+    d = np.sqrt(m.weights) * np.exp(0.5 * (math.log(nu) + W / nu))
+    S = d[:, None] * dense_flux_operator(W, nu, m.h) * (1.0 / d)[None, :]
+    vals = np.linalg.eigvalsh(0.5 * (S + S.T))
+    defect = np.linalg.norm(S - S.T) / np.linalg.norm(S)
+    g = fp.spectral_gap(m)
+    assert g["omega"] == pytest.approx(abs(vals[-2]), rel=1e-10)
+    assert g["symmetry_defect"] == pytest.approx(defect, abs=1e-12)
+    assert "eigenvalues" not in g
 
 
 def test_build_model_validation():
@@ -21,6 +89,19 @@ def test_build_model_validation():
         fp.build_model(1.0, lambda x: 0 * x, lambda x: x, 64)
     clamped = fp.clamp_end_slopes(np.sin(np.pi * np.linspace(0, 1, 65)))
     fp.build_model(1.0, lambda x: 0 * x, clamped, 64)
+
+
+def test_build_model_rejects_non_finite_fields():
+    x = np.linspace(0.0, 1.0, 65)
+    with np.errstate(divide="ignore"):
+        singular = (1.0 / x, np.log(x))
+    for W in singular:
+        with pytest.raises(DataError):
+            fp.build_model(1.0, W, np.zeros(65), 64)
+    alpha = np.zeros(65)
+    alpha[30] = np.nan
+    with pytest.raises(DataError):
+        fp.build_model(1.0, np.zeros(65), alpha, 64)
 
 
 def test_operator_mass_identities(fp_bench):
@@ -159,6 +240,7 @@ def test_iss_experiment_pipeline(fp_bench):
     u = random_signal(17, 1, Interval(0.0, 2.0), 20, 1.0)
     times, devs, masses = fp.simulate(fp_bench, rho0, u, 2.0, 1e-3)
     energies = np.array([fp._input_energy(u, t) for t in times])
+    assert np.array_equal(fp._input_energy(u, times), energies)
     C = fp.fit_gain_constant(fp_bench, [(times, devs, energies)], g["omega"])
     rep = fp.run_fp_iss_experiment(fp_bench, rho0, u, 2.0, 1e-3, C, omega=g["omega"])
     assert rep.passed
