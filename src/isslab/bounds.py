@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
-from .orlicz import YoungFunction, luxemburg_norm
+from .orlicz import YoungFunction, luxemburg_norm, prefix_luxemburg_norms
 from .signals import _EXP_OVERFLOW, Interval, Signal, exp_weight
 
 __all__ = [
@@ -160,28 +160,41 @@ def gamma_fp(C: float, r):
 # ---------------------------------------------------------------------------
 
 
-def _input_norm(phi: YoungFunction, u: Signal | None, t: float) -> float:
-    if u is None or t == 0.0:
-        return 0.0
-    return luxemburg_norm(phi, u, Interval(0.0, t))
+def _input_norm(phi: YoungFunction, u: Signal | None, t) -> np.ndarray:
+    """||u||_{E_Phi(0,t)} for every horizon in t, from one batched
+    prefix-norm solve; a horizon t > 0 needs u to start at 0."""
+    t = np.asarray(t, dtype=float)
+    if u is None or not np.any(t > 0.0):
+        return np.zeros(t.shape)
+    if u.grid[0] != 0.0:
+        raise DomainError("input signals must start at t = 0")
+    return prefix_luxemburg_norms(phi, u, t)
 
 
 def iss_rhs(p: BoundParams, x0_norm: float, u1: Signal | None, u2: Signal | None,
-            phi: YoungFunction, psi: YoungFunction, t: float) -> float:
+            phi: YoungFunction, psi: YoungFunction, t):
     """Right-hand side of the exponentially stable (omega > 0) estimate with
-    t-uniform admissibility constants."""
+    t-uniform admissibility constants.
+
+    t is a scalar (returns a float) or an array of horizons (returns an
+    array of the same shape); the input norms of all horizons come from
+    one prefix-norm solve per input.
+    """
     if p.omega <= 0.0:
         raise ContractError(
             "iss_rhs needs omega > 0; use iss_rhs_timevarying for the "
             "general-type estimate"
         )
-    if x0_norm < 0 or t < 0:
+    ts = np.asarray(t, dtype=float)
+    if x0_norm < 0 or np.any(ts < 0):
         raise DomainError("iss_rhs needs x0_norm, t >= 0")
-    return (
-        beta(p, x0_norm, t)
-        + gamma1(p, p.C_B1 * _input_norm(phi, u1, t))
-        + gamma2(p.C_B2 * _input_norm(psi, u2, t))
-    )
+    n1 = _input_norm(phi, u1, ts)
+    n2 = _input_norm(psi, u2, ts)
+    rhs = np.array([
+        beta(p, x0_norm, ti) + gamma1(p, p.C_B1 * a) + gamma2(p.C_B2 * b)
+        for ti, a, b in zip(ts.ravel().tolist(), n1.ravel().tolist(), n2.ravel().tolist())
+    ]).reshape(ts.shape)
+    return rhs if rhs.ndim else float(rhs)
 
 
 def iss_rhs_timevarying(p: BoundParams, x0_norm: float, u1: Signal | None,
@@ -203,7 +216,7 @@ def iss_rhs_timevarying(p: BoundParams, x0_norm: float, u1: Signal | None,
         )
     return (
         beta(p, x0_norm, t)
-        + gamma1(p, p.C_B1 * _input_norm(phi, u1, t))
+        + gamma1(p, p.C_B1 * float(_input_norm(phi, u1, t)))
         + gamma2(p.C_B2 * u2_term)
     )
 

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bounds, diagonal, fokker_planck as fp
-from .errors import IsslabError, NumericError
+from .errors import DataError, IsslabError, NumericError
 from .mild_solver import solve_mild
 from .orlicz import YoungFunction, complementary, luxemburg_norm
 from .signals import Interval, Signal, random_signal
@@ -75,6 +75,13 @@ _FIELD_SCHEMA = {
         },
     ]
 }
+
+class _Params(dict):
+    """Command params; a required key that is absent is a config error."""
+
+    def __missing__(self, key):
+        raise DataError(f"params needs {key!r}")
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -147,7 +154,13 @@ def _parse_field(spec, J: int) -> np.ndarray:
         # non-finite samples are rejected by build_model, not warned about
         with np.errstate(all="ignore"):
             value = eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-        out = np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
+        try:
+            out = np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
+        except (TypeError, ValueError) as exc:
+            raise DataError(
+                f"field expression {spec['expr']!r} must give one number or "
+                f"{J + 1} node samples"
+            ) from exc
         if spec.get("clamp"):
             out = fp.clamp_end_slopes(out)
     return out
@@ -177,10 +190,8 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
         diagonal.to_system_model(model), x0, u1, None, T,
         tol=tol, quad_h=params.get("quad_h", 5e-4),
     )
-    errs = [
-        float(np.max(np.abs(traj.states[i] - diagonal.closed_form_solution(model, x0, u1, t))))
-        for i, t in enumerate(traj.grid)
-    ]
+    oracle = diagonal.closed_form_trajectory(model, x0, u1, traj.grid)
+    errs = np.max(np.abs(traj.states - oracle.states), axis=1).tolist()
     traj.to_csv(out_dir / "trajectory.csv", full_state=params.get("full_state", False))
     _write_csv(
         out_dir / "results.csv",
@@ -252,8 +263,8 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
         u1 = random_signal(case_seed + 10_000, 1, Interval(0.0, T), cells, amplitude)
         x0_norm = float(np.linalg.norm(x0))
         traj = diagonal.closed_form_trajectory(model, x0, u1, times)
-        rhs = [bounds.iss_rhs(bp, x0_norm, u1, None, phi, phi, t) for t in times]
-        rep = bounds.audit(traj, np.asarray(rhs), tol=params.get("tol", 1e-6))
+        rhs = bounds.iss_rhs(bp, x0_norm, u1, None, phi, phi, times)
+        rep = bounds.audit(traj, rhs, tol=params.get("tol", 1e-6))
         rows.append([i, case_seed, x0_norm, rep.max_violation,
                      rep.min_slack_ratio, rep.passed])
     _write_csv(
@@ -333,7 +344,7 @@ def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> i
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }
-    result = _DISPATCH[command](config["params"], eff_seed, out_dir)
+    result = _DISPATCH[command](_Params(config["params"]), eff_seed, out_dir)
     summary.update(result)
     _write_summary(out_dir, summary)
     return 0 if summary.get("pass", True) else 1

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DataError, DomainError, NumericError
 from .mild_solver import SystemModel, Trajectory
@@ -90,34 +89,42 @@ def example3_model(N: int) -> DiagonalModel:
 # ---------------------------------------------------------------------------
 
 
-def _input_integral(u: Signal | None, t: float) -> float:
-    """Exact int_0^t u(s) ds for a scalar piecewise-constant input."""
-    if u is None or t == 0.0:
-        return 0.0
-    if u.d != 1:
+def _input_integral(u: Signal | None, times: np.ndarray) -> np.ndarray:
+    """Exact int_0^t u(s) ds for a scalar piecewise-constant input, for
+    every t in the 1-d array times."""
+    if u is None:
+        return np.zeros(times.size)
+    live = times != 0.0
+    if np.any(live) and u.d != 1:
         raise DomainError("the diagonal system takes a scalar input")
-    if t < u.grid[0] or t > u.grid[-1] + 1e-12:
-        raise DomainError(f"t={t} outside the input's domain")
-    hi = np.minimum(u.grid[1:], t)
-    lo = np.minimum(u.grid[:-1], t)
-    return float(np.sum((hi - lo) * u.values[:, 0]))
+    bad = live & ((times < u.grid[0]) | (times > u.grid[-1] + 1e-12))
+    if np.any(bad):
+        raise DomainError(f"t={times[bad][0]} outside the input's domain")
+    hi = np.minimum(u.grid[1:], times[:, None])
+    lo = np.minimum(u.grid[:-1], times[:, None])
+    return np.sum((hi - lo) * u.values[:, 0], axis=1)
 
 
-def closed_form_exponents(m: DiagonalModel, u: Signal | None, t: float) -> np.ndarray:
+def closed_form_exponents(m: DiagonalModel, u: Signal | None, t) -> np.ndarray:
     """Per-mode exponents lambda_n t + mu_n int_0^t u, the log-domain
-    representation of the propagator."""
-    if t < 0:
+    representation of the propagator; an array of times gives one row of
+    exponents per time."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
         raise DomainError("t must be >= 0")
-    return m.lam * t + m.mu * _input_integral(u, t)
+    flat = ts.reshape(-1, 1)
+    expo = m.lam * flat + m.mu * _input_integral(u, flat[:, 0])[:, None]
+    return expo.reshape(ts.shape + (m.N,))
 
 
-def closed_form_solution(m: DiagonalModel, x0, u: Signal | None, t: float) -> np.ndarray:
-    """x_n(t) = exp(lambda_n t + mu_n int_0^t u) x_n(0), exactly."""
+def closed_form_solution(m: DiagonalModel, x0, u: Signal | None, t) -> np.ndarray:
+    """x_n(t) = exp(lambda_n t + mu_n int_0^t u) x_n(0), exactly; an array
+    of times gives one state row per time."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != m.N:
         raise DataError(f"x0 has length {x0.size}, model has N={m.N}")
     expo = closed_form_exponents(m, u, t)
-    if np.any(expo[x0 != 0] > _EXP_OVERFLOW):
+    if np.any(expo[..., x0 != 0] > _EXP_OVERFLOW):
         raise NumericError(
             "closed_form_solution: exponent overflow; work with "
             "closed_form_exponents (log domain) instead"
@@ -130,8 +137,7 @@ def closed_form_trajectory(m: DiagonalModel, x0, u: Signal | None,
                            times) -> Trajectory:
     """Trajectory sampled from the closed form on the given time grid."""
     times = np.asarray(times, dtype=float)
-    states = np.array([closed_form_solution(m, x0, u, t) for t in times])
-    return Trajectory(times, states)
+    return Trajectory(times, closed_form_solution(m, x0, u, times))
 
 
 def to_system_model(m: DiagonalModel, adm_c: float | None = None,
@@ -226,6 +232,9 @@ def verify_kn_bound(n: int, t: float, quad_cells: int = 8000) -> dict:
     sigma_max = log_amp + 745.0
     if log_rate + math.log(t) < math.log(sigma_max):
         sigma_max = math.exp(log_rate) * t
+
+    # deferred: scipy.integrate costs a noticeable share of CLI start-up
+    from scipy.integrate import simpson
 
     def quad(cells: int) -> float:
         sig = np.linspace(0.0, sigma_max, cells + 1)

@@ -5,7 +5,9 @@ and -> infinity at infinity.  The identity kind is the explicit L^1
 convention and is exempt from the growth conditions.  The Luxemburg norm of
 a piecewise-constant signal is computed exactly: the defining integral is a
 finite sum of rectangle terms and the map k -> int Phi(|u|/k) is monotone
-decreasing, so bracketing plus bisection is globally convergent.
+decreasing, so bracketing plus bisection is globally convergent.  One
+batched kernel runs that bisection for many cell-width rows at once; the
+single norm and the prefix norms of an ISS audit both call it.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -28,6 +30,7 @@ __all__ = [
     "legendre_transform",
     "complementary",
     "luxemburg_norm",
+    "prefix_luxemburg_norms",
     "dual_norm_lower_bound",
     "check_delta2",
     "Delta2Result",
@@ -41,6 +44,8 @@ _KINDS = ("power", "power_over_p", "loglog", "identity", "tabulated")
 _LEGENDRE_KNOTS = 512
 # values above this are treated as out of tabulation range
 _VALUE_CAP = 1e250
+# knots per (knots x grid) temporary in the batched Legendre grid search
+_LEGENDRE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,11 @@ class YoungFunction:
     kind: str
     p: float | None = None
     knots: np.ndarray | None = field(default=None)
+    # tabulated kinds: interpolation nodes pinned at the origin and the
+    # slope that extrapolates above the last knot, fixed at construction
+    _xp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _fp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _slope: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -71,6 +81,10 @@ class YoungFunction:
             if np.any(knots < 0) or not np.all(np.isfinite(knots)):
                 raise DataError("tabulated knots must be finite and nonnegative")
             object.__setattr__(self, "knots", knots)
+            ks, kv = knots[:, 0], knots[:, 1]
+            object.__setattr__(self, "_xp", np.append(0.0, ks))
+            object.__setattr__(self, "_fp", np.append(0.0, kv))
+            object.__setattr__(self, "_slope", (kv[-1] - kv[-2]) / (ks[-1] - ks[-2]))
 
     # -- constructors --------------------------------------------------
 
@@ -101,23 +115,26 @@ class YoungFunction:
         if np.any(s_arr < 0):
             raise DomainError("Young functions are defined for s >= 0 only")
         with np.errstate(over="ignore"):
-            if self.kind == "power":
-                out = s_arr**self.p
-            elif self.kind == "power_over_p":
-                out = s_arr**self.p / self.p
-            elif self.kind == "identity":
-                out = s_arr.copy()
-            elif self.kind == "loglog":
-                out = s_arr * np.log(np.log(s_arr + math.e))
-            else:
-                ks, kv = self.knots[:, 0], self.knots[:, 1]
-                # pin at the origin; extrapolate above with the last slope
-                out = np.interp(s_arr, np.append(0.0, ks), np.append(0.0, kv))
-                top = s_arr > ks[-1]
-                if np.any(top):
-                    slope = (kv[-1] - kv[-2]) / (ks[-1] - ks[-2])
-                    out = np.where(top, kv[-1] + slope * (s_arr - ks[-1]), out)
+            out = self._eval(s_arr)
         return out if out.ndim else float(out)
+
+    def _eval(self, s: np.ndarray) -> np.ndarray:
+        """Phi on a float array s >= 0, without checks; the caller owns the
+        floating-point error state."""
+        if self.kind == "power":
+            return s**self.p
+        if self.kind == "power_over_p":
+            return s**self.p / self.p
+        if self.kind == "identity":
+            return s.copy()
+        if self.kind == "loglog":
+            return s * np.log(np.log(s + math.e))
+        # pin at the origin; extrapolate above with the last slope
+        out = np.interp(s, self._xp, self._fp)
+        top = s > self._xp[-1]
+        if np.any(top):
+            out = np.where(top, self._fp[-1] + self._slope * (s - self._xp[-1]), out)
+        return out
 
     # -- serialization -------------------------------------------------
 
@@ -147,42 +164,55 @@ def eval_young(phi: YoungFunction, s) -> float:
 # ---------------------------------------------------------------------------
 
 
-def legendre_transform(phi: YoungFunction, s: float) -> float:
+def legendre_transform(phi: YoungFunction, s):
     """Phi~(s) = sup_{t>=0} (s*t - Phi(t)), by coarse grid + golden section.
 
-    The objective is concave in t for convex Phi, so the grid argmax
-    brackets the maximizer and golden-section refinement converges.
+    s is a scalar (returns a float) or an array (returns an array of the
+    same shape).  The objective is concave in t for convex Phi, so the grid
+    argmax brackets each maximizer and golden-section refinement converges;
+    every element runs its own refinement and stops at its own tolerance.
     """
-    if s < 0:
+    s_arr = np.asarray(s, dtype=float)
+    if np.any(s_arr < 0):
         raise DomainError("Legendre transform argument must be >= 0")
-    if s == 0.0:
-        return 0.0
+    out = np.zeros(s_arr.size)
+    live = np.flatnonzero(s_arr.ravel() != 0.0)
+    sv = s_arr.ravel()[live]
     t = np.logspace(-12, 290, 3000)
+    i = np.empty(sv.size, dtype=np.intp)
+    best = np.empty(sv.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        g = s * t - phi(t)
-    g = np.where(np.isfinite(g), g, -np.inf)
-    i = int(np.argmax(g))
-    best = max(g[i], 0.0)
-    lo = t[max(i - 1, 0)]
-    hi = t[min(i + 1, t.size - 1)]
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = s * c - phi(c)
-    fd = s * d - phi(d)
-    for _ in range(200):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = s * c - phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = s * d - phi(d)
-        if b - a <= 1e-14 * (1.0 + b):
-            break
-    return float(max(best, fc, fd, 0.0))
+        pt = phi._eval(t)
+        for c0 in range(0, sv.size, _LEGENDRE_CHUNK):
+            g = sv[c0:c0 + _LEGENDRE_CHUNK, None] * t - pt
+            g = np.where(np.isfinite(g), g, -np.inf)
+            ic = np.argmax(g, axis=1)
+            i[c0:c0 + ic.size] = ic
+            best[c0:c0 + ic.size] = np.maximum(g[np.arange(ic.size), ic], 0.0)
+        a = t[np.maximum(i - 1, 0)]
+        b = t[np.minimum(i + 1, t.size - 1)]
+        invphi = (math.sqrt(5) - 1) / 2
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc = sv * c - phi._eval(c)
+        fd = sv * d - phi._eval(d)
+        run = np.arange(sv.size)
+        for _ in range(200):
+            if run.size == 0:
+                break
+            left = fc[run] > fd[run]
+            j, k = run[left], run[~left]
+            b[j], d[j], fd[j] = d[j], c[j], fc[j]
+            c[j] = b[j] - invphi * (b[j] - a[j])
+            fc[j] = sv[j] * c[j] - phi._eval(c[j])
+            a[k], c[k], fc[k] = c[k], d[k], fd[k]
+            d[k] = a[k] + invphi * (b[k] - a[k])
+            fd[k] = sv[k] * d[k] - phi._eval(d[k])
+            run = run[b[run] - a[run] > 1e-14 * (1.0 + b[run])]
+    # fmax skips a NaN objective, as the scalar max() did
+    out[live] = np.fmax(np.fmax(np.fmax(best, fc), fd), 0.0)
+    out = out.reshape(s_arr.shape)
+    return out if out.ndim else float(out)
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
@@ -201,7 +231,7 @@ def complementary(phi: YoungFunction) -> YoungFunction:
             break
         s_max *= 2.0
     s_knots = np.logspace(-6, math.log10(s_max), _LEGENDRE_KNOTS)
-    vals = np.array([legendre_transform(phi, s) for s in s_knots])
+    vals = legendre_transform(phi, s_knots)
     keep = vals < _VALUE_CAP
     return YoungFunction.tabulated(np.column_stack([s_knots[keep], vals[keep]]))
 
@@ -211,10 +241,76 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
-def _modular(phi: YoungFunction, r: np.ndarray, w: np.ndarray, k: float) -> float:
-    with np.errstate(over="ignore"):
-        vals = phi(r / k)
-    return float(np.sum(w * np.where(np.isfinite(vals), vals, np.inf)))
+def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Luxemburg norms over the shared cell norms r, one per row of cell
+    widths W; a zero width leaves the cell out of its row.
+
+    Each row runs the scalar sequence: start at k = max r, halve or double
+    until the modular crosses 1, then bisect until hi - lo <= tol*(1+hi).
+    A row freezes once it meets its own stopping test, and returns hi, the
+    feasible side, so no row under-reports its norm.
+    """
+    if tol <= 0:
+        raise DomainError("tol must be > 0")
+    live = W > 0
+    if phi.kind == "identity":
+        return np.add.reduce(W * r, axis=1, where=live)
+    out = np.zeros(W.shape[0])
+    k = np.max(r * live, axis=1)
+    rows = np.flatnonzero(k > 0)
+    if rows.size == 0:
+        return out
+    W, live, k = W[rows], live[rows], k[rows]
+
+    def feasible(w, mask, scale):
+        vals = phi._eval(r / scale[:, None])
+        terms = w * np.where(np.isfinite(vals), vals, np.inf)
+        return np.add.reduce(terms, axis=1, where=mask) <= 1.0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # bracket the unique crossing of the modular through 1; a row that
+        # is infeasible at k doubles upward, a feasible one halves downward
+        up = ~feasible(W, live, k)
+        lo = np.where(up, k, k / 2.0)
+        hi = np.where(up, k * 2.0, k)
+        zero = np.zeros(rows.size, dtype=bool)
+        sel = np.arange(rows.size)
+        for step in range(2400):
+            if sel.size == 0:
+                break
+            u = up[sel]
+            if step == 1200 and np.any(u):
+                raise NumericError("luxemburg_norm: upper bracket not found")
+            # the bracket is found once feasibility flips from its start
+            probe = np.where(u, hi[sel], lo[sel])
+            sel = sel[feasible(W[sel], live[sel], probe) != u]
+            u = up[sel]
+            lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
+                                np.where(u, hi[sel] * 2.0, lo[sel]))
+            if np.any(hi[sel][u] > 1e290):
+                raise NumericError("luxemburg_norm: upper bracket not found")
+            zero[sel[~u & (lo[sel] < 1e-300)]] = True
+            sel = sel[~zero[sel]]
+        else:
+            if sel.size:
+                raise NumericError("luxemburg_norm: lower bracket not found")
+
+        # bisect the rows still above tolerance on compact copies
+        sel = np.flatnonzero(~zero & (hi - lo > tol * (1.0 + hi)))
+        lo_s, hi_s, w, mask = lo[sel], hi[sel], W[sel], live[sel]
+        while sel.size:
+            mid = 0.5 * (lo_s + hi_s)
+            ok = feasible(w, mask, mid)
+            hi_s = np.where(ok, mid, hi_s)
+            lo_s = np.where(ok, lo_s, mid)
+            going = hi_s - lo_s > tol * (1.0 + hi_s)
+            if not going.all():
+                hi[sel] = hi_s
+                sel, lo_s, hi_s = sel[going], lo_s[going], hi_s[going]
+                w, mask = w[going], mask[going]
+    out[rows] = np.where(zero, 0.0, hi)
+    return out
 
 
 def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
@@ -224,57 +320,25 @@ def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
     The identity kind returns the L^1 norm exactly; the a.e.-zero signal
     has norm 0.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
     if iv is not None:
         u = restrict(u, iv)
     if not np.all(np.isfinite(u.values)):
         raise DataError("signal contains non-finite samples")
-    r = u.cell_norms()
-    w = u.widths
-    if not np.any(r > 0):
-        return 0.0
-    if phi.kind == "identity":
-        return float(np.sum(w * r))
+    return float(_luxemburg_rows(phi, u.cell_norms(), u.widths[None, :], tol)[0])
 
-    k = float(np.max(r))
-    if k == 0.0:
-        return 0.0
-    # bracket the unique crossing of the modular through 1
-    if _modular(phi, r, w, k) <= 1.0:
-        hi = k
-        lo = k / 2.0
-        for _ in range(2400):
-            if _modular(phi, r, w, lo) > 1.0:
-                break
-            hi = lo
-            lo /= 2.0
-            if lo < 1e-300:
-                return 0.0
-        else:
-            raise NumericError("luxemburg_norm: lower bracket not found")
-    else:
-        lo = k
-        hi = k * 2.0
-        for _ in range(1200):
-            if _modular(phi, r, w, hi) <= 1.0:
-                break
-            lo = hi
-            hi *= 2.0
-            if hi > 1e290:
-                raise NumericError("luxemburg_norm: upper bracket not found")
-        else:
-            raise NumericError("luxemburg_norm: upper bracket not found")
 
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if _modular(phi, r, w, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    # hi is on the feasible side of the crossing, so the result never
-    # under-reports the norm
-    return hi
+def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
+    """Luxemburg norms of u on every prefix [t0, t] of its domain [t0, t1],
+    one per t in ends, from one batched bisection.
+
+    Each value equals luxemburg_norm(phi, u, Interval(t0, t)) bit for bit;
+    t = t0 gives 0.  The result has the shape of ends.
+    """
+    t = np.asarray(ends, dtype=float)
+    if not np.all((t >= u.grid[0]) & (t <= u.grid[-1] + 1e-12)):
+        raise DomainError("prefix ends must lie in the signal domain")
+    W = np.maximum(np.minimum(u.grid[1:], t.reshape(-1, 1)) - u.grid[:-1], 0.0)
+    return _luxemburg_rows(phi, u.cell_norms(), W, 1e-12).reshape(t.shape)
 
 
 def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -> float:
@@ -295,8 +359,8 @@ def dual_norm_lower_bound(phi: YoungFunction, u: Signal, iv: Interval,
     sup{int |u| |v| : int Phi~(|v|) <= 1}.
 
     Candidates v are piecewise-constant on u's grid: the shape of |u|, the
-    constant shape, and seeded random shapes; each is scaled so the
-    complementary modular equals 1, which makes every candidate feasible.
+    constant shape, and seeded random shapes; each is divided by its
+    complementary Luxemburg norm, which makes every candidate feasible.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
@@ -315,29 +379,10 @@ def dual_norm_lower_bound(phi: YoungFunction, u: Signal, iv: Interval,
 
     best = 0.0
     for v in shapes:
-        if not np.any(v > 0):
-            continue
-        # scale so int Phi~(c*v) = 1; the modular is increasing in c
-        c_hi = 1.0 / float(np.max(v))
-        for _ in range(1200):
-            if _modular(comp, v, w, 1.0 / c_hi) >= 1.0:
-                break
-            c_hi *= 2.0
-            if c_hi > 1e290:
-                c_hi = np.nan
-                break
-        if not np.isfinite(c_hi):
-            continue
-        c_lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (c_lo + c_hi)
-            if _modular(comp, v, w, 1.0 / mid) <= 1.0:
-                c_lo = mid
-            else:
-                c_hi = mid
-            if c_hi - c_lo <= 1e-13 * (1.0 + c_hi):
-                break
-        best = max(best, float(np.sum(w * r * (c_lo * v))))
+        # v / ||v||_{L_Phi~} is feasible: the norm is the feasible side
+        norm = float(_luxemburg_rows(comp, v, w[None, :], 1e-13)[0])
+        if norm > 0:
+            best = max(best, float(np.sum(w * r * v)) / norm)
     return best
 
 

@@ -110,6 +110,35 @@ def test_iss_rhs_monotone_in_horizon():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_iss_rhs_array_matches_scalar_horizons(comp_loglog):
+    p = bp(omega=2.0, C_B1=0.3, C_B2=0.5)
+    u1 = random_signal(5, 1, Interval(0.0, 2.0), 16, 1.0)
+    u2 = random_signal(6, 2, Interval(0.0, 2.0), 7, 0.5)
+    times = np.linspace(0.0, 2.0, 41)
+    for phi in (comp_loglog, P2):
+        rhs = iss_rhs(p, 0.8, u1, u2, phi, P2, times)
+        assert rhs.shape == times.shape
+        assert np.array_equal(rhs, [iss_rhs(p, 0.8, u1, u2, phi, P2, t) for t in times])
+    assert isinstance(iss_rhs(p, 0.8, u1, None, P2, P2, 1.0), float)
+    assert iss_rhs(p, 0.8, u1, u2, P2, P2, times.reshape(1, -1)).shape == (1, 41)
+    with pytest.raises(DomainError):
+        iss_rhs(p, 0.8, u1, None, P2, P2, np.array([1.0, -0.5]))
+
+
+def test_iss_rhs_input_must_start_at_zero():
+    p = bp(omega=2.0)
+    u = Signal.constant(0.3, Interval(0.5, 2.0))
+    # t = 0 has no input term; any t > 0 measures u on [0, t]
+    assert iss_rhs(p, 0.8, u, None, P2, P2, 0.0) == beta(p, 0.8, 0.0)
+    assert iss_rhs_timevarying(p, 0.8, u, None, P2, P2, 0.0) == beta(p, 0.8, 0.0)
+    with pytest.raises(DomainError):
+        iss_rhs(p, 0.8, u, None, P2, P2, 1.0)
+    with pytest.raises(DomainError):
+        iss_rhs(p, 0.8, None, u, P2, P2, np.array([0.0, 1.0]))
+    with pytest.raises(DomainError):
+        iss_rhs_timevarying(p, 0.8, u, None, P2, P2, 1.0)
+
+
 def test_iss_rhs_timevarying():
     p = bp(omega=1.0)
     u1 = Signal.constant(0.3, Interval(0.0, 2.0))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isslab
 from isslab.cli import main
 
 
@@ -138,6 +143,36 @@ def test_non_finite_fp_field_exits_2(tmp_path, capsys):
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
         assert code == 2, (command, expr)
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_missing_required_param_exits_2(tmp_path, capsys):
+    for command, params in (
+        ("fp-gap", {"nu": 0.5, "W": {"expr": "x"}}),
+        ("audit-iss", {"N": 4}),
+        ("orlicz-norm", {"young": {"kind": "power", "p": 2}}),
+    ):
+        cfg = write_config(tmp_path, "c.json", {"command": command, "params": params})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert code == 2, (command, params)
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_wrong_length_field_exits_2(tmp_path, capsys):
+    for W in ({"expr": "x[:3]"}, {"expr": "'text'"}, {"expr": "x.reshape(-1, 1)"}):
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "fp-gap", "params": {"nu": 0.5, "J": 32, "W": W},
+        })
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert code == 2, W
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_cli_import_defers_scipy_integrate():
+    src = str(Path(isslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, isslab.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_simulate_fp_command(tmp_path):

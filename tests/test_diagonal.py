@@ -96,6 +96,28 @@ def test_trajectory_helper():
     assert traj.norms[0] == pytest.approx(math.sqrt(3.0))
 
 
+def test_trajectory_matches_per_time_closed_form():
+    m = example3_model(8)
+    u = random_signal(11, 1, Interval(0.0, 2.0), 16, 1.0)
+    x0 = np.linspace(-1.0, 1.0, 8)
+    times = np.linspace(0.0, 2.0, 41)
+    traj = closed_form_trajectory(m, x0, u, times)
+    for t, state in zip(times, traj.states):
+        integral = float(np.sum(
+            (np.minimum(u.grid[1:], t) - np.minimum(u.grid[:-1], t)) * u.values[:, 0]
+        ))
+        assert np.array_equal(state, np.exp(m.lam * t + m.mu * integral) * x0)
+    assert np.array_equal(closed_form_solution(m, x0, u, times), traj.states)
+    assert np.array_equal(closed_form_exponents(m, u, times)[7],
+                          closed_form_exponents(m, u, times[7]))
+    # one overflowing time fails the whole trajectory
+    big = Signal.constant(200.0, Interval(0.0, 10.0))
+    with pytest.raises(NumericError):
+        closed_form_trajectory(example3_model(2), np.ones(2), big, [0.0, 1.0, 10.0])
+    with pytest.raises(DomainError):
+        closed_form_trajectory(m, x0, u, [0.0, 3.0])
+
+
 def test_mode_admissibility_l2():
     assert mode_admissibility_l2(-2.0, 0.0, 1.0) == 0.0
     assert mode_admissibility_l2(-2.0, 2.0, math.inf) == pytest.approx(1.0)

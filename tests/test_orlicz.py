@@ -15,9 +15,10 @@ from isslab.orlicz import (
     holder_pair,
     legendre_transform,
     luxemburg_norm,
+    prefix_luxemburg_norms,
     small_interval_norm,
 )
-from isslab.signals import Interval, Signal, lp_norm, random_signal
+from isslab.signals import Interval, Signal, lp_norm, random_signal, restrict
 
 ALL_KINDS = [
     YoungFunction.power(2),
@@ -90,6 +91,55 @@ def test_legendre_transform_matches_closed_form():
     assert legendre_transform(phi, 0.0) == 0.0
 
 
+def _legendre_one(phi, s):
+    """Per-knot reference: grid argmax, then golden section on one s."""
+    if s == 0.0:
+        return 0.0
+    t = np.logspace(-12, 290, 3000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s * t - phi(t)
+    g = np.where(np.isfinite(g), g, -np.inf)
+    i = int(np.argmax(g))
+    best = max(g[i], 0.0)
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = s * c - phi(c), s * d - phi(d)
+    for _ in range(200):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = s * c - phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = s * d - phi(d)
+        if b - a <= 1e-14 * (1.0 + b):
+            break
+    return float(max(best, fc, fd, 0.0))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [YoungFunction.loglog(), YoungFunction.power_over_p(3), YoungFunction.power(2.5)],
+    ids=lambda p: p.kind,
+)
+def test_legendre_transform_batch_matches_per_knot(phi):
+    s = np.concatenate([[0.0], np.logspace(-6, 6, 101)])
+    batch = legendre_transform(phi, s)
+    assert batch.shape == s.shape
+    assert np.array_equal(batch, [_legendre_one(phi, x) for x in s])
+    assert legendre_transform(phi, float(s[40])) == batch[40]
+    assert np.array_equal(legendre_transform(phi, s.reshape(3, -1)), batch.reshape(3, -1))
+    with pytest.raises(DomainError):
+        legendre_transform(phi, np.array([1.0, -1.0]))
+
+
+def test_complementary_knots_match_per_knot_transform(comp_loglog):
+    s, vals = comp_loglog.knots[:, 0], comp_loglog.knots[:, 1]
+    assert np.array_equal(vals, [_legendre_one(YoungFunction.loglog(), x) for x in s])
+
+
 def test_tabulated_conjugate_interpolation_accuracy():
     phi = YoungFunction.power_over_p(3)
     tab_knots = np.array([[s, legendre_transform(phi, s)] for s in np.geomspace(0.01, 10, 2000)])
@@ -148,6 +198,99 @@ def test_luxemburg_homogeneity_property(seed, c):
     base = luxemburg_norm(phi, u)
     scaled = Signal(u.grid, c * u.values)
     assert luxemburg_norm(phi, scaled) == pytest.approx(c * base, rel=1e-9, abs=1e-12)
+
+
+def _modular(phi, r, w, k):
+    with np.errstate(over="ignore"):
+        vals = phi(r / k)
+    return float(np.sum(w * np.where(np.isfinite(vals), vals, np.inf)))
+
+
+def _luxemburg_one(phi, u, tol=1e-12):
+    """Scalar reference: bracket from k = max r by halving or doubling,
+    then bisect, one modular evaluation at a time; below 1e-300 the norm
+    is 0."""
+    r, w = u.cell_norms(), u.widths
+    if not np.any(r > 0):
+        return 0.0
+    if phi.kind == "identity":
+        return float(np.sum(w * r))
+    k = float(np.max(r))
+    if _modular(phi, r, w, k) <= 1.0:
+        hi, lo = k, k / 2.0
+        while _modular(phi, r, w, lo) <= 1.0:
+            hi, lo = lo, lo / 2.0
+            if lo < 1e-300:
+                return 0.0
+    else:
+        lo, hi = k, k * 2.0
+        while _modular(phi, r, w, hi) > 1.0:
+            lo, hi = hi, hi * 2.0
+    while hi - lo > tol * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        if _modular(phi, r, w, mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+PREFIX_KINDS = [
+    YoungFunction.power(2),
+    YoungFunction.power(3.5),
+    YoungFunction.power_over_p(3),
+    YoungFunction.loglog(),
+    YoungFunction.identity(),
+    "tabulated",
+]
+
+
+@given(
+    kind=st.integers(min_value=0, max_value=len(PREFIX_KINDS) - 1),
+    seed=st.integers(min_value=0, max_value=10_000),
+    cells=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=2),
+    scale=st.sampled_from([1e-3, 1.0, 40.0]),
+    length=st.sampled_from([0.05, 2.0, 60.0]),
+    zeros=st.lists(st.integers(min_value=0, max_value=11), max_size=4),
+    inner=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
+                                            scale, length, zeros, inner):
+    phi = comp_loglog if PREFIX_KINDS[kind] == "tabulated" else PREFIX_KINDS[kind]
+    u = random_signal(seed, d, Interval(0.0, length), cells, scale)
+    values = u.values.copy()
+    values[[z for z in zeros if z < cells]] = 0.0
+    u = Signal(u.grid, values)
+    # t = 0, every breakpoint, and points inside cells; short and long
+    # domains make rows bracket downward and upward over several steps
+    ends = np.concatenate([[0.0], u.grid[1:], length * np.asarray(inner, dtype=float)])
+    got = prefix_luxemburg_norms(phi, u, ends)
+    assert got.shape == ends.shape
+    for t, norm in zip(ends, got):
+        if t == 0.0:
+            assert norm == 0.0
+            continue
+        ur = restrict(u, Interval(0.0, t))
+        assert norm == luxemburg_norm(phi, u, Interval(0.0, t)) == _luxemburg_one(phi, ur)
+        if norm > 0 and phi.kind != "identity":
+            # the feasible side: the norm never under-reports
+            assert _modular(phi, ur.cell_norms(), ur.widths, norm) <= 1.0
+
+
+def test_prefix_norms_shape_and_domain():
+    u = random_signal(2, 1, Interval(0.0, 1.0), 5, 1.0)
+    ends = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    got = prefix_luxemburg_norms(YoungFunction.loglog(), u, ends)
+    assert got.shape == (2, 3)
+    assert np.all(np.diff(got.ravel()) >= 0)
+    assert np.array_equal(prefix_luxemburg_norms(YoungFunction.power(2), Signal.zero(
+        Interval(0.0, 1.0)), [0.5, 1.0]), [0.0, 0.0])
+    with pytest.raises(DomainError):
+        prefix_luxemburg_norms(YoungFunction.power(2), u, [0.5, 1.5])
+    with pytest.raises(DomainError):
+        luxemburg_norm(YoungFunction.identity(), u, tol=0.0)
 
 
 def test_small_interval_norm():
