@@ -11,7 +11,6 @@ trajectory.csv.  Exit codes: 0 success, 1 audit failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -26,7 +25,7 @@ from . import __version__, bounds, diagonal, fokker_planck as fp
 from .errors import DataError, IsslabError, NumericError
 from .mild_solver import solve_mild
 from .orlicz import YoungFunction, complementary, luxemburg_norm
-from .signals import Interval, Signal, random_signal
+from .signals import Interval, Signal, random_signal, write_csv
 
 COMMANDS = (
     "orlicz-norm",
@@ -77,10 +76,11 @@ _FIELD_SCHEMA = {
 }
 
 class _Params(dict):
-    """Command params; a required key that is absent is a config error."""
+    """Command params or a signal spec; a required key that is absent is a
+    config error."""
 
     def __missing__(self, key):
-        raise DataError(f"params needs {key!r}")
+        raise DataError(f"config needs {key!r}")
 
 
 CONFIG_SCHEMA = {
@@ -100,20 +100,6 @@ def _sha256(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
-
 def _write_summary(out_dir: Path, payload: dict) -> None:
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -122,6 +108,7 @@ def _write_summary(out_dir: Path, payload: dict) -> None:
 
 def _parse_signal(spec: dict, seed_override: int | None = None) -> Signal:
     jsonschema.validate(spec, _SIGNAL_SCHEMA)
+    spec = _Params(spec)
     iv = Interval(spec["t0"], spec["t1"])
     if spec.get("zero"):
         return Signal.zero(iv, spec.get("d", 1))
@@ -151,15 +138,16 @@ def _parse_field(spec, J: int) -> np.ndarray:
     if isinstance(spec, list):
         out = np.asarray(spec, dtype=float)
     else:
+        # any failure of the config's expression is a config error;
         # non-finite samples are rejected by build_model, not warned about
-        with np.errstate(all="ignore"):
-            value = eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
         try:
+            with np.errstate(all="ignore"):
+                value = eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
             out = np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
-        except (TypeError, ValueError) as exc:
+        except Exception as exc:
             raise DataError(
                 f"field expression {spec['expr']!r} must give one number or "
-                f"{J + 1} node samples"
+                f"{J + 1} node samples ({exc})"
             ) from exc
         if spec.get("clamp"):
             out = fp.clamp_end_slopes(out)
@@ -176,7 +164,7 @@ def _cmd_orlicz_norm(params: dict, seed, out_dir: Path) -> dict:
     u = _parse_signal(params["signal"], seed)
     tol = params.get("tol", 1e-12)
     norm = luxemburg_norm(phi, u, tol=tol)
-    _write_csv(out_dir / "results.csv", ["kind", "norm"], [[phi.kind, norm]])
+    write_csv(out_dir / "results.csv", ["kind", "norm"], [[phi.kind, norm]])
     return {"norm": norm, "pass": True}
 
 
@@ -193,11 +181,8 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     oracle = diagonal.closed_form_trajectory(model, x0, u1, traj.grid)
     errs = np.max(np.abs(traj.states - oracle.states), axis=1).tolist()
     traj.to_csv(out_dir / "trajectory.csv", full_state=params.get("full_state", False))
-    _write_csv(
-        out_dir / "results.csv",
-        ["t", "norm", "oracle_error"],
-        [[traj.grid[i], traj.norms[i], errs[i]] for i in range(traj.grid.size)],
-    )
+    write_csv(out_dir / "results.csv", ["t", "norm", "oracle_error"],
+              np.column_stack([traj.grid, traj.norms, errs]).tolist())
     # the oracle distance combines the fixed-point tolerance with the
     # quadrature error of the convolution
     ok = max(errs) <= params.get("oracle_tol", 1e-6)
@@ -228,13 +213,10 @@ def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
         )
         rho0 = fp.DensityField(model.grid, rho_inf.values + pert)
     times, devs, masses = fp.simulate(model, rho0, u, params["T"], params["dt"])
-    _write_csv(
-        out_dir / "trajectory.csv",
-        ["t", "deviation", "mass"],
-        [[times[i], devs[i], masses[i]] for i in range(times.size)],
-    )
+    write_csv(out_dir / "trajectory.csv", ["t", "deviation", "mass"],
+              np.column_stack([times, devs, masses]).tolist())
     drift = float(np.max(np.abs(masses - 1.0)))
-    _write_csv(out_dir / "results.csv", ["max_mass_drift"], [[drift]])
+    write_csv(out_dir / "results.csv", ["max_mass_drift"], [[drift]])
     return {"max_mass_drift": drift, "n_steps": int(times.size - 1),
             "pass": drift <= 1e-9}
 
@@ -267,7 +249,7 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
         rep = bounds.audit(traj, rhs, tol=params.get("tol", 1e-6))
         rows.append([i, case_seed, x0_norm, rep.max_violation,
                      rep.min_slack_ratio, rep.passed])
-    _write_csv(
+    write_csv(
         out_dir / "results.csv",
         ["case", "seed", "x0_norm", "max_violation", "min_slack_ratio", "pass"],
         rows,
@@ -281,7 +263,7 @@ def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
     rows = diagonal.lp_admissibility_scan(
         params.get("p", 2.0), params["N_list"], params.get("t", math.inf)
     )
-    _write_csv(
+    write_csv(
         out_dir / "results.csv",
         ["N", "value", "log10_value"],
         [[r["N"], r["constant"], r["log10_constant"]] for r in rows],
@@ -302,7 +284,7 @@ def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
     gap = fp.spectral_gap(model)
     rho_inf = fp.stationary_density(model)
     residual = fp.l2_norm(model, model.A @ rho_inf.values)
-    _write_csv(
+    write_csv(
         out_dir / "results.csv",
         ["omega", "lambda0", "e0_check", "symmetry_defect", "kernel_residual"],
         [[gap["omega"], gap["lambda0"], gap["e0_check"],
@@ -355,15 +337,15 @@ def report(run_dirs: list[Path], out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, missing = [], []
     for d in run_dirs:
-        path = Path(d) / "summary.json"
-        if not path.exists():
+        try:
+            with open(Path(d) / "summary.json") as fh:
+                s = json.load(fh)
+        except (OSError, ValueError):  # absent or unparseable
             missing.append(str(d))
             continue
-        with open(path) as fh:
-            s = json.load(fh)
         rows.append([str(d), s.get("command"), s.get("seed"),
                      bool(s.get("pass", True))])
-    _write_csv(out_dir / "aggregate.csv", ["run_dir", "command", "seed", "pass"], rows)
+    write_csv(out_dir / "aggregate.csv", ["run_dir", "command", "seed", "pass"], rows)
     n_pass = sum(1 for r in rows if r[-1])
     lines = [
         "# Run aggregate",

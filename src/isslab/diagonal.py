@@ -89,22 +89,6 @@ def example3_model(N: int) -> DiagonalModel:
 # ---------------------------------------------------------------------------
 
 
-def _input_integral(u: Signal | None, times: np.ndarray) -> np.ndarray:
-    """Exact int_0^t u(s) ds for a scalar piecewise-constant input, for
-    every t in the 1-d array times."""
-    if u is None:
-        return np.zeros(times.size)
-    live = times != 0.0
-    if np.any(live) and u.d != 1:
-        raise DomainError("the diagonal system takes a scalar input")
-    bad = live & ((times < u.grid[0]) | (times > u.grid[-1] + 1e-12))
-    if np.any(bad):
-        raise DomainError(f"t={times[bad][0]} outside the input's domain")
-    hi = np.minimum(u.grid[1:], times[:, None])
-    lo = np.minimum(u.grid[:-1], times[:, None])
-    return np.sum((hi - lo) * u.values[:, 0], axis=1)
-
-
 def closed_form_exponents(m: DiagonalModel, u: Signal | None, t) -> np.ndarray:
     """Per-mode exponents lambda_n t + mu_n int_0^t u, the log-domain
     representation of the propagator; an array of times gives one row of
@@ -113,7 +97,14 @@ def closed_form_exponents(m: DiagonalModel, u: Signal | None, t) -> np.ndarray:
     if np.any(ts < 0):
         raise DomainError("t must be >= 0")
     flat = ts.reshape(-1, 1)
-    expo = m.lam * flat + m.mu * _input_integral(u, flat[:, 0])[:, None]
+    integral = np.zeros_like(flat)
+    # t = 0 needs no input, however late the signal starts
+    live = flat[:, 0] != 0.0
+    if u is not None and np.any(live):
+        if u.d != 1:
+            raise DomainError("the diagonal system takes a scalar input")
+        integral[live] = u.integral(flat[live, 0])
+    expo = m.lam * flat + m.mu * integral
     return expo.reshape(ts.shape + (m.N,))
 
 

@@ -25,7 +25,6 @@ consistent with the weighted inner product.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from scipy.sparse import dia_array
 from .bounds import AuditReport, audit, gamma_fp
 from .errors import ContractError, DataError, DomainError, NumericError
 from .mild_solver import Trajectory
-from .signals import Signal
+from .signals import Signal, read_csv, write_csv
 
 __all__ = [
     "FPModel",
@@ -271,11 +270,7 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
     controls = np.zeros(n_steps)
     if u is not None and n_steps:
-        t_mid = times[:-1] + 0.5 * dt
-        if t_mid[0] < u.grid[0] or t_mid[-1] > u.grid[-1]:
-            raise DomainError(f"simulate: input does not cover [0, {times[-1]}]")
-        cells = np.searchsorted(u.grid, t_mid, side="right") - 1
-        controls = u.values[np.minimum(cells, len(u.values) - 1), 0]
+        controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0]
     devs = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
     v = rho0.values
@@ -289,13 +284,12 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
 
 
 def _input_energy(u: Signal | None, t):
-    """Exact int_0^t ||u(s)||^2 ds for piecewise-constant u, whose running
-    energy is linear between breakpoints; t is a time or an array of
-    times."""
+    """Exact int_0^t ||u(s)||^2 ds for piecewise-constant u, taken as zero
+    outside its domain; t is a time or an array of times."""
     if u is None:
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    cell_energy = u.widths * np.sum(u.values**2, axis=1)
-    energy = np.interp(t, u.grid, np.concatenate(([0.0], np.cumsum(cell_energy))))
+    power = Signal(u.grid, np.sum(u.values**2, axis=1, keepdims=True))
+    energy = power.integral(np.clip(t, u.grid[0], u.grid[-1]))[..., 0]
     return float(energy) if np.ndim(t) == 0 else energy
 
 
@@ -361,15 +355,9 @@ def run_fp_iss_experiment(m: FPModel, rho0: DensityField, u: Signal | None,
 
 
 def density_to_csv(rho: DensityField, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "rho"])
-        for xi, vi in zip(rho.x, rho.values):
-            writer.writerow([f"{xi:.17g}", f"{vi:.17g}"])
+    write_csv(path, ["x", "rho"], np.column_stack([rho.x, rho.values]).tolist())
 
 
 def density_from_csv(path) -> DensityField:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    data = np.array([[float(a) for a in row] for row in rows[1:]])
+    data = read_csv(path)
     return DensityField(data[:, 0], data[:, 1])

@@ -20,8 +20,6 @@ is never time-stepped explicitly.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,7 +28,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError
 from .orlicz import YoungFunction, small_interval_norm
-from .signals import Signal
+from .signals import Signal, write_csv
 
 __all__ = ["SystemModel", "Trajectory", "solve_mild", "detect_blowup"]
 
@@ -110,33 +108,17 @@ class Trajectory:
         object.__setattr__(self, "norms", np.linalg.norm(states, axis=1))
 
     def to_csv(self, path, full_state: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t", "norm"]
-            if full_state:
-                header += [f"x_{j + 1}" for j in range(self.states.shape[1])]
-            writer.writerow(header)
-            for i, t in enumerate(self.grid):
-                row = [t, self.norms[i]]
-                if full_state:
-                    row += list(self.states[i])
-                writer.writerow([f"{x:.17g}" for x in row])
+        header, cols = ["t", "norm"], [self.grid, self.norms]
+        if full_state:
+            header += [f"x_{j + 1}" for j in range(self.states.shape[1])]
+            cols.append(self.states)
+        write_csv(path, header, np.column_stack(cols).tolist())
 
     def to_json(self) -> dict:
         out = {"status": self.status, "n_points": int(self.grid.size)}
         if self.t_blowup is not None:
             out["t_blowup"] = self.t_blowup
         return out
-
-
-def _cell_values(u: Signal | None, nodes: np.ndarray, d_fallback: int) -> np.ndarray:
-    """Per-quadrature-cell input values (inputs are constant on each cell
-    because the nodes include every breakpoint)."""
-    k = nodes.size - 1
-    if u is None:
-        return np.zeros((k, d_fallback))
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return np.array([u.value_at(t) for t in mids])
 
 
 def _window_nodes(a: float, b: float, u1: Signal | None, u2: Signal | None,
@@ -170,9 +152,6 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
     for name, u in (("u1", u1), ("u2", u2)):
         if u is not None and (u.domain.t0 > 0 or u.domain.t1 < T):
             raise DomainError(f"{name} must be defined on all of [0, {T}]")
-
-    d1 = u1.d if u1 is not None else 1
-    d2 = u2.d if u2 is not None else 1
 
     grid_out = [0.0]
     states_out = [x0.copy()]
@@ -212,8 +191,10 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
             nodes = _window_nodes(a, b, u1, u2, quad_h)
             dts = np.diff(nodes)
             n = nodes.size
-            v1 = _cell_values(u1, nodes, d1)
-            v2 = _cell_values(u2, nodes, d2)
+            # inputs are constant per quadrature cell: nodes include every breakpoint
+            mids = 0.5 * (nodes[:-1] + nodes[1:])
+            v1 = u1.value_at(mids) if u1 is not None else np.zeros((n - 1, 1))
+            v2 = u2.value_at(mids) if u2 is not None else np.zeros((n - 1, 1))
 
             # free evolution s_j = T(t_j - a) x_a, built incrementally
             free = np.empty((n, model.dim))

@@ -59,7 +59,9 @@ class YoungFunction:
 
     kind: str
     p: float | None = None
-    knots: np.ndarray | None = field(default=None)
+    knots: np.ndarray | None = field(default=None, compare=False)
+    # tabulated kinds compare and hash by their knot values
+    _knot_values: tuple | None = field(default=None, init=False, repr=False)
     # tabulated kinds: interpolation nodes pinned at the origin and the
     # slope that extrapolates above the last knot, fixed at construction
     _xp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -81,6 +83,7 @@ class YoungFunction:
             if np.any(knots < 0) or not np.all(np.isfinite(knots)):
                 raise DataError("tabulated knots must be finite and nonnegative")
             object.__setattr__(self, "knots", knots)
+            object.__setattr__(self, "_knot_values", tuple(knots.ravel().tolist()))
             ks, kv = knots[:, 0], knots[:, 1]
             object.__setattr__(self, "_xp", np.append(0.0, ks))
             object.__setattr__(self, "_fp", np.append(0.0, kv))
@@ -394,8 +397,8 @@ def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
     vr = restrict(v, iv)
     cuts = np.union1d(ur.grid, vr.grid)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    wu = np.array([np.linalg.norm(ur.value_at(t)) for t in mids])
-    wv = np.array([np.linalg.norm(vr.value_at(t)) for t in mids])
+    wu = np.linalg.norm(ur.value_at(mids), axis=1)
+    wv = np.linalg.norm(vr.value_at(mids), axis=1)
     lhs = float(np.sum(np.diff(cuts) * wu * wv))
     rhs = 2.0 * luxemburg_norm(phi, u, iv) * luxemburg_norm(comp, v, iv)
     return {"lhs": lhs, "rhs": rhs}

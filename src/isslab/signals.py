@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import DataError, DomainError, NumericError
 
-__all__ = ["Interval", "Signal", "restrict", "exp_weight", "random_signal", "lp_norm"]
+__all__ = [
+    "Interval", "Signal", "restrict", "exp_weight", "random_signal", "lp_norm",
+    "write_csv", "read_csv",
+]
 
 # e**x overflows double precision just above this exponent
 _EXP_OVERFLOW = 700.0
@@ -91,13 +94,29 @@ class Signal:
         """Euclidean norm of each cell's value vector."""
         return np.linalg.norm(self.values, axis=1)
 
-    def value_at(self, t: float) -> np.ndarray:
-        """Value of the cell containing t (right-continuous; the last cell
-        owns the final breakpoint)."""
-        if t < self.grid[0] or t > self.grid[-1]:
-            raise DomainError(f"t={t} outside signal domain")
-        i = min(int(np.searchsorted(self.grid, t, side="right")) - 1, len(self.values) - 1)
-        return self.values[i]
+    def value_at(self, t) -> np.ndarray:
+        """Value of the cell containing t, right-continuous (the last cell owns
+        the final breakpoint); an array of times gives one row per time."""
+        ts = np.asarray(t, dtype=float)
+        outside = (ts < self.grid[0]) | (ts > self.grid[-1])
+        if np.any(outside):
+            raise DomainError(f"t={ts[outside][0]} outside signal domain")
+        i = np.searchsorted(self.grid, ts, side="right") - 1
+        return self.values[np.minimum(i, len(self.values) - 1)]
+
+    def integral(self, t) -> np.ndarray:
+        """Exact int_{t0}^{t} u(s) ds, the clipped-width sum over cells
+        sum_i (min(g_{i+1}, t) - min(g_i, t)) v_i; an array of times gives
+        one row per time, one column per component."""
+        ts = np.asarray(t, dtype=float)
+        outside = (ts < self.grid[0]) | (ts > self.grid[-1] + 1e-12)
+        if np.any(outside):
+            raise DomainError(f"t={ts[outside][0]} outside signal domain")
+        flat = ts.reshape(-1, 1)
+        widths = np.minimum(self.grid[1:], flat) - np.minimum(self.grid[:-1], flat)
+        # one row sum per time: its bits do not depend on the other times
+        rows = np.column_stack([np.sum(widths * v, axis=1) for v in self.values.T])
+        return rows.reshape(ts.shape + (self.d,))
 
     # -- constructors --------------------------------------------------
 
@@ -115,20 +134,14 @@ class Signal:
     # -- serialization -------------------------------------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_start", "t_end"] + [f"v_{j + 1}" for j in range(self.d)])
-            for i in range(len(self.values)):
-                row = [self.grid[i], self.grid[i + 1], *self.values[i]]
-                writer.writerow([f"{x:.17g}" for x in row])
+        header = ["t_start", "t_end"] + [f"v_{j + 1}" for j in range(self.d)]
+        write_csv(path, header,
+                  np.column_stack([self.grid[:-1], self.grid[1:], self.values]).tolist())
 
     @staticmethod
     def from_csv(path) -> "Signal":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-        grid = np.append(data[:, 0], data[-1, 1])
-        return Signal(grid, data[:, 2:])
+        data = read_csv(path)
+        return Signal(np.append(data[:, 0], data[-1, 1]), data[:, 2:])
 
     def to_json(self) -> dict:
         return {
@@ -199,3 +212,21 @@ def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
         return float(np.max(r))
     w = u.widths
     return float(np.sum(w * r**p) ** (1.0 / p))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV artifact: floats with 17 significant digits, so that
+    they read back exactly, and every other cell with str."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
+        )
+
+
+def read_csv(path) -> np.ndarray:
+    """The rows of a numeric CSV artifact below its header, as floats."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(x) for x in row] for row in rows[1:]])

@@ -157,6 +157,30 @@ def test_missing_required_param_exits_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("key", ["cells", "amplitude", "seed"])
+def test_random_signal_spec_missing_key_exits_2(tmp_path, capsys, key):
+    spec = {"t0": 0, "t1": 1, "cells": 4, "amplitude": 1.0, "seed": 3}
+    del spec[key]
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "orlicz-norm",
+        "params": {"young": {"kind": "power", "p": 2}, "signal": spec},
+    })
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and key in err["detail"]
+
+
+@pytest.mark.parametrize("expr", ["nope(x)", "1/0", "x+"])
+def test_failing_field_expression_exits_2(tmp_path, capsys, expr):
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "fp-gap", "params": {"nu": 0.5, "J": 32, "W": {"expr": expr}},
+    })
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_wrong_length_field_exits_2(tmp_path, capsys):
     for W in ({"expr": "x[:3]"}, {"expr": "'text'"}, {"expr": "x.reshape(-1, 1)"}):
         cfg = write_config(tmp_path, "c.json", {
@@ -243,3 +267,20 @@ def test_report_aggregation(tmp_path):
     report = (out / "report.md").read_text()
     assert "missing" in report
     assert "failed: 1" in report
+
+
+def test_report_lists_unparseable_summary(tmp_path):
+    ok_dir = tmp_path / "ok"
+    ok_dir.mkdir()
+    (ok_dir / "summary.json").write_text(
+        json.dumps({"command": "fp-gap", "seed": 1, "pass": True})
+    )
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "summary.json").write_text('{"command": "fp-gap", "pass": tr')
+    out = tmp_path / "rep"
+    code = main(["report", str(ok_dir), str(broken), "--out", str(out), "--quiet"])
+    assert code == 0
+    report = (out / "report.md").read_text()
+    assert f"- missing summaries: {broken}" in report
+    assert "- runs: 1" in report

@@ -118,6 +118,23 @@ def test_trajectory_matches_per_time_closed_form():
         closed_form_trajectory(m, x0, u, [0.0, 3.0])
 
 
+def test_closed_form_exponents_domain_contract():
+    m = example3_model(3)
+    late = Signal.constant(1.0, Interval(0.5, 2.0))
+    pair = Signal.constant([1.0, 2.0], Interval(0.0, 2.0))
+    # t = 0 needs no input, however late it starts and whatever its dimension
+    for u in (late, pair):
+        assert np.array_equal(closed_form_exponents(m, u, 0.0), m.lam * 0.0)
+        assert np.array_equal(closed_form_exponents(m, u, [0.0, 0.0]), np.zeros((2, 3)))
+    assert np.allclose(closed_form_exponents(m, late, 1.5), m.lam * 1.5 + m.mu)
+    # every other time outside the domain, or a vector input, raises
+    for t in (0.25, 2.5, [0.0, 0.25]):
+        with pytest.raises(DomainError):
+            closed_form_exponents(m, late, t)
+    with pytest.raises(DomainError):
+        closed_form_exponents(m, pair, [0.0, 1.0])
+
+
 def test_mode_admissibility_l2():
     assert mode_admissibility_l2(-2.0, 0.0, 1.0) == 0.0
     assert mode_admissibility_l2(-2.0, 2.0, math.inf) == pytest.approx(1.0)

@@ -250,6 +250,16 @@ def test_iss_experiment_pipeline(fp_bench):
     assert not bad.passed
 
 
+def test_input_energy_is_zero_outside_domain():
+    # energy rate 2 on [0.5, 1) and 4 on [1, 2]; simulate accepts a step
+    # grid that ends past the input, so the energy must be defined there
+    u = Signal(np.array([0.5, 1.0, 2.0]), np.array([[1.0, 1.0], [2.0, 0.0]]))
+    assert fp._input_energy(u, 1.5) == 3.0
+    energies = fp._input_energy(u, np.array([0.0, 0.75, 2.0, 3.0]))
+    assert np.array_equal(energies, [0.0, 0.5, 5.0, 5.0])
+    assert fp._input_energy(None, 3.0) == 0.0
+
+
 def test_density_csv_roundtrip(tmp_path, fp_bench):
     rho = fp.stationary_density(fp_bench)
     path = tmp_path / "rho.csv"

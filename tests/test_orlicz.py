@@ -82,6 +82,16 @@ def test_complementary_closed_forms():
         complementary(YoungFunction.identity())
 
 
+def test_tabulated_functions_compare_by_knot_values():
+    a, b = complementary(YoungFunction.power(2)), complementary(YoungFunction.power(2))
+    assert a.kind == "tabulated" and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != complementary(YoungFunction.power(3))
+    assert a != YoungFunction.tabulated(a.knots * [1.0, 2.0])
+    assert YoungFunction.from_json(a.to_json()) == a
+    assert len({a, b, YoungFunction.power(2)}) == 2
+
+
 def test_legendre_transform_matches_closed_form():
     phi = YoungFunction.power_over_p(3)
     conj = complementary(phi)

@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isslab.errors import DataError, DomainError, NumericError
 from isslab.orlicz import YoungFunction, luxemburg_norm
-from isslab.signals import Interval, Signal, exp_weight, lp_norm, random_signal, restrict
+from isslab.signals import (
+    Interval,
+    Signal,
+    exp_weight,
+    lp_norm,
+    random_signal,
+    read_csv,
+    restrict,
+    write_csv,
+)
 
 
 def test_interval_validation():
@@ -32,6 +43,52 @@ def test_value_at_right_continuous():
     assert u.value_at(2.0)[0] == 5.0
     with pytest.raises(DomainError):
         u.value_at(2.5)
+    # an array of times gives one row per time, equal to the scalar calls
+    for sig in (u, random_signal(4, 2, Interval(0.5, 3.0), 5, 1.0)):
+        ts = np.concatenate((sig.grid, np.linspace(sig.grid[0], sig.grid[-1], 17)))
+        assert np.array_equal(sig.value_at(ts), np.array([sig.value_at(t) for t in ts]))
+        for bad in (sig.grid[0] - 0.1, sig.grid[-1] + 0.1):
+            with pytest.raises(DomainError):
+                sig.value_at(np.array([sig.grid[0], bad]))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    d=st.sampled_from([1, 2]),
+    cells=st.integers(min_value=1, max_value=12),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_integral_exact_at_breakpoints_and_linear_between(seed, d, cells, frac):
+    rng = np.random.Generator(np.random.Philox(seed))
+    grid = rng.uniform(0.0, 2.0) + np.concatenate(
+        ([0.0], np.cumsum(rng.uniform(0.05, 1.0, cells)))
+    )
+    u = Signal(grid, rng.uniform(-2.0, 2.0, (cells, d)))
+    # |integral| <= 24, so 1e-12 is far above the summation-order round-off
+    at_breaks = u.integral(grid)
+    running = np.cumsum(u.widths[:, None] * u.values, axis=0)
+    assert at_breaks.shape == (cells + 1, d)
+    assert np.allclose(at_breaks, np.vstack((np.zeros(d), running)), rtol=0, atol=1e-12)
+    inner = grid[:-1] + frac * u.widths
+    between = u.integral(inner)
+    assert np.allclose(between, at_breaks[:-1] + (inner - grid[:-1])[:, None] * u.values,
+                       rtol=0, atol=1e-12)
+    assert np.array_equal(u.integral(inner[-1]), between[-1])
+    assert np.array_equal(u.integral(grid[-1] + 1e-13), at_breaks[-1])
+    for bad in (grid[-1] + 1e-11, grid[0] - 1e-9):
+        with pytest.raises(DomainError):
+            u.integral(np.array([grid[0], bad]))
+
+
+def test_write_csv_cell_format(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["f", "g", "i", "b"], [[0.1, np.float64(1.0) / 3.0, 3, True]])
+    assert path.read_text().splitlines() == [
+        "f,g,i,b", "0.10000000000000001,0.33333333333333331,3,True",
+    ]
+    write_csv(path, ["f", "i"], [[0.1, 2], [1e-300, -7]])
+    assert np.array_equal(read_csv(path), np.array([[0.1, 2.0], [1e-300, -7.0]]))
 
 
 def test_restrict_identity_and_clip():
