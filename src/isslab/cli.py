@@ -134,6 +134,7 @@ _EXPR_NAMES = {
 
 def _parse_field(spec, J: int) -> np.ndarray:
     """Node samples from a literal list or a whitelisted expression of x."""
+    jsonschema.validate(spec, _FIELD_SCHEMA)
     x = np.linspace(0.0, 1.0, J + 1)
     if isinstance(spec, list):
         out = np.asarray(spec, dtype=float)
@@ -340,7 +341,9 @@ def report(run_dirs: list[Path], out_dir: Path) -> int:
         try:
             with open(Path(d) / "summary.json") as fh:
                 s = json.load(fh)
-        except (OSError, ValueError):  # absent or unparseable
+        except (OSError, ValueError):
+            s = None
+        if not isinstance(s, dict):  # absent, unparseable or not an object
             missing.append(str(d))
             continue
         rows.append([str(d), s.get("command"), s.get("seed"),

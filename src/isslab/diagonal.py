@@ -150,8 +150,8 @@ def to_system_model(m: DiagonalModel, adm_c: float | None = None,
         dim=m.N,
         semigroup=lambda t, x: np.exp(lam * t) * x,
         apply_B1=lambda z: mu * z,
-        apply_B2=lambda v: np.broadcast_to(np.atleast_1d(v), (m.N,)).astype(float),
-        F=lambda x, u: float(np.atleast_1d(u)[0]) * x,
+        apply_B2=lambda v: np.broadcast_to(v, np.shape(v)[:-1] + (m.N,)).astype(float),
+        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
         m=1.0,
         lipschitz=lambda k: 1.0,
         M=1.0,

@@ -261,16 +261,17 @@ def spectral_gap(m: FPModel) -> dict:
 def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
              dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-step and record (times, L^2 deviations from equilibrium,
-    masses).  Deviations are measured against the exact discrete kernel so
-    that the zero-input equilibrium run reads as identically zero."""
+    masses).  The run takes the fewest uniform steps of at most dt (up to
+    round-off in T/dt) that end at T.  Deviations are measured against the
+    exact discrete kernel so that the zero-input equilibrium run reads as
+    identically zero."""
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be > 0")
     rho_inf = discrete_stationary_density(m).values
-    n_steps = int(round(T / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    controls = np.zeros(n_steps)
-    if u is not None and n_steps:
-        controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0]
+    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    dt = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0] if u is not None else np.zeros(n_steps)
     devs = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
     v = rho0.values

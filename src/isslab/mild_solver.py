@@ -9,13 +9,16 @@ contraction: the semigroup growth over a window is at most 2, and the
 window Orlicz norm of u1 is small against the registered admissibility
 surrogate and the local Lipschitz constant of F.  Inside a window the
 convolution is a composite trapezoid rule whose nodes are aligned with the
-input breakpoints, with the exact semigroup factor folded in through the
-incremental recurrence
+input breakpoints.  T is linear, so free evolution and convolution fold
+into the one recurrence
 
-    I_j = T(dt_j) I_{j-1} + (dt_j/2) (T(dt_j) w_{j-1} + w_j),
+    x_j = T(dt_j) (x_{j-1} + (dt_j/2) w_{j-1}) + (dt_j/2) w_j,   x_0 = x(a),
 
-so each sweep costs O(n) semigroup applications and the stiff linear part
-is never time-stepped explicitly.
+where w_{j-1} and w_j are the forcing at the two ends of cell j under that
+cell's input.  A sweep evaluates all forcings of the window as two array
+expressions and then makes one semigroup application per node, so the
+stiff linear part is never time-stepped explicitly.  The first pass has
+zero forcing and gives the free evolution as the starting guess.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ class SystemModel:
     adm_c      -- admissibility-constant surrogate used by the window
                   selection (any upper bound preserves contraction)
     phi, psi   -- Young functions measuring u1 and u2 in the window rules
+
+    F, apply_B1 and apply_B2 act on stacks of rows: arrays of shape (n, .)
+    map to (n, .), broadcasting over the leading axes, so that a sweep
+    forces a whole window at once.  semigroup takes one time and one state.
     """
 
     dim: int
@@ -132,10 +139,40 @@ def _window_nodes(a: float, b: float, u1: Signal | None, u2: Signal | None,
     return nodes
 
 
-def _window_norm(phi: YoungFunction, u: Signal | None, a: float, delta: float) -> float:
-    if u is None:
-        return 0.0
-    return small_interval_norm(phi, u, a, delta)
+def _contracts(model: SystemModel, x_a: np.ndarray, u1: Signal | None,
+               u2: Signal | None, a: float, delta: float) -> bool:
+    """Whether the Picard map contracts on the window [a, a + delta]."""
+    nu1 = small_interval_norm(model.phi, u1, a, delta) if u1 is not None else 0.0
+    L_k = model.lipschitz(4.0 * model.M * float(np.linalg.norm(x_a)) + 2.0 * model.M)
+    if not (model.m * model.adm_c * nu1 <= 0.5 and model.adm_c * L_k * nu1 < 1.0):
+        return False
+    return u2 is None or model.adm_c * small_interval_norm(model.psi, u2, a, delta) <= model.M
+
+
+def _picard(model: SystemModel, x_a: np.ndarray, nodes: np.ndarray,
+            u1: Signal | None, u2: Signal | None, tol: float) -> np.ndarray | None:
+    """Node states of one window, or None if _PICARD_CAP sweeps do not
+    bring successive iterates within tol."""
+    dts = np.diff(nodes)
+    half = 0.5 * dts[:, None]
+    # inputs are constant per quadrature cell: nodes include every breakpoint
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    v1 = u1.value_at(mids) if u1 is not None else np.zeros((dts.size, 1))
+    b2 = model.apply_B2(u2.value_at(mids)) if u2 is not None else 0.0
+    # the first pass has zero forcing: it gives the free evolution
+    w_prev = w_here = np.zeros((dts.size, model.dim))
+    x = None
+    for _ in range(_PICARD_CAP + 1):
+        x_new = np.empty((nodes.size, model.dim))
+        x_new[0] = x_a
+        for j, dt in enumerate(dts, 1):
+            x_new[j] = model.semigroup(dt, x_new[j - 1] + w_prev[j - 1]) + w_here[j - 1]
+        if x is not None and np.max(np.linalg.norm(x_new - x, axis=1)) <= tol:
+            return x_new
+        x = x_new
+        w_prev = half * (model.apply_B1(model.F(x[:-1], v1)) + b2)
+        w_here = half * (model.apply_B1(model.F(x[1:], v1)) + b2)
+    return None
 
 
 def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
@@ -153,101 +190,40 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
         if u is not None and (u.domain.t0 > 0 or u.domain.t1 < T):
             raise DomainError(f"{name} must be defined on all of [0, {T}]")
 
-    grid_out = [0.0]
-    states_out = [x0.copy()]
-    a = 0.0
-    x_a = x0.copy()
+    grids, states = [np.zeros(1)], [x0[None, :]]
+    a, x_a = 0.0, x0
     delta_cap = T
     if model.omega != 0.0:
         delta_cap = min(delta_cap, math.log(2.0) / abs(model.omega))
 
     while a < T - 1e-14:
+        # halve the window until the map contracts and the sweeps converge
         delta = min(delta_cap, T - a)
-        # shrink the window until the contraction conditions hold
         while True:
             if delta < _DELTA_FLOOR:
                 raise NumericError(
-                    f"solve_mild: no contracting window at t={a} "
-                    f"(delta floor {_DELTA_FLOOR} reached)"
+                    f"solve_mild: no window at t={a} both contracts and lets the Picard "
+                    f"iteration converge (delta floor {_DELTA_FLOOR} reached)"
                 )
-            nu1 = _window_norm(model.phi, u1, a, delta)
-            r = float(np.linalg.norm(x_a))
-            k_ball = 4.0 * model.M * r + 2.0 * model.M
-            L_k = model.lipschitz(k_ball)
-            ok = (
-                model.m * model.adm_c * nu1 <= 0.5
-                and model.adm_c * L_k * nu1 < 1.0
-            )
-            if ok and u2 is not None:
-                nu2 = _window_norm(model.psi, u2, a, delta)
-                ok = model.adm_c * nu2 <= model.M
-            if ok:
-                break
-            delta *= 0.5
-
-        converged = False
-        while delta >= _DELTA_FLOOR:
-            b = min(a + delta, T)
-            nodes = _window_nodes(a, b, u1, u2, quad_h)
-            dts = np.diff(nodes)
-            n = nodes.size
-            # inputs are constant per quadrature cell: nodes include every breakpoint
-            mids = 0.5 * (nodes[:-1] + nodes[1:])
-            v1 = u1.value_at(mids) if u1 is not None else np.zeros((n - 1, 1))
-            v2 = u2.value_at(mids) if u2 is not None else np.zeros((n - 1, 1))
-
-            # free evolution s_j = T(t_j - a) x_a, built incrementally
-            free = np.empty((n, model.dim))
-            free[0] = x_a
-            for j in range(1, n):
-                free[j] = model.semigroup(dts[j - 1], free[j - 1])
-
-            def forcing(x: np.ndarray, cell: int) -> np.ndarray:
-                return model.apply_B1(model.F(x, v1[cell])) + model.apply_B2(v2[cell])
-
-            x_cur = free.copy()
-            converged = False
-            for _ in range(_PICARD_CAP):
-                x_new = np.empty_like(x_cur)
-                x_new[0] = x_a
-                integral = np.zeros(model.dim)
-                for j in range(1, n):
-                    dt = dts[j - 1]
-                    w_prev = forcing(x_cur[j - 1], j - 1)
-                    w_here = forcing(x_cur[j], j - 1)
-                    integral = model.semigroup(
-                        dt, integral + 0.5 * dt * w_prev
-                    ) + 0.5 * dt * w_here
-                    x_new[j] = free[j] + integral
-                diff = float(np.max(np.linalg.norm(x_new - x_cur, axis=1)))
-                x_cur = x_new
-                if diff <= tol:
-                    converged = True
+            if _contracts(model, x_a, u1, u2, a, delta):
+                nodes = _window_nodes(a, min(a + delta, T), u1, u2, quad_h)
+                x = _picard(model, x_a, nodes, u1, u2, tol)
+                if x is not None:
                     break
-            if converged:
-                break
             delta *= 0.5
-        if not converged:
-            raise NumericError(
-                f"solve_mild: Picard iteration failed to contract at t={a}"
-            )
+        grids.append(nodes[1:])
+        states.append(x[1:])
+        a, x_a = float(nodes[-1]), x[-1]
+        if np.any(np.linalg.norm(x, axis=1) > blowup_threshold):
+            break
 
-        grid_out.extend(nodes[1:])
-        states_out.extend(x_cur[1:])
-        a = float(nodes[-1])
-        x_a = x_cur[-1]
-
-        norms_so_far = np.linalg.norm(np.asarray(states_out), axis=1)
-        if np.any(norms_so_far > blowup_threshold):
-            i = int(np.argmax(norms_so_far > blowup_threshold))
-            return Trajectory(
-                np.asarray(grid_out[: i + 1]),
-                np.asarray(states_out[: i + 1]),
-                status="blowup",
-                t_blowup=float(grid_out[i]),
-            )
-
-    return Trajectory(np.asarray(grid_out), np.asarray(states_out))
+    traj = Trajectory(np.concatenate(grids), np.concatenate(states))
+    over = traj.norms > blowup_threshold
+    if not np.any(over):
+        return traj
+    i = int(np.argmax(over))
+    return Trajectory(traj.grid[: i + 1], traj.states[: i + 1],
+                      status="blowup", t_blowup=float(traj.grid[i]))
 
 
 def detect_blowup(traj: Trajectory, threshold: float) -> float | None:

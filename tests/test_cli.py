@@ -191,6 +191,16 @@ def test_wrong_length_field_exits_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("W", [3, {"clamp": True}, ["a"]])
+def test_malformed_field_spec_exits_2(tmp_path, capsys, W):
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "fp-gap", "params": {"nu": 0.5, "J": 32, "W": W},
+    })
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 def test_cli_import_defers_scipy_integrate():
     src = str(Path(isslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -284,3 +294,15 @@ def test_report_lists_unparseable_summary(tmp_path):
     report = (out / "report.md").read_text()
     assert f"- missing summaries: {broken}" in report
     assert "- runs: 1" in report
+
+
+def test_report_lists_non_object_summary(tmp_path):
+    listed = tmp_path / "listed"
+    listed.mkdir()
+    (listed / "summary.json").write_text("[]")
+    out = tmp_path / "rep"
+    code = main(["report", str(listed), "--out", str(out), "--quiet"])
+    assert code == 0
+    report = (out / "report.md").read_text()
+    assert f"- missing summaries: {listed}" in report
+    assert "- runs: 0" in report

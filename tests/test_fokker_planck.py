@@ -250,6 +250,17 @@ def test_iss_experiment_pipeline(fp_bench):
     assert not bad.passed
 
 
+def test_simulate_ends_at_horizon(fp_bench):
+    # dt that does not divide T: uniform steps of at most dt, ending at T
+    equil = fp.discrete_stationary_density(fp_bench)
+    u = random_signal(3, 1, Interval(0.0, 1.0), 4, 1.0)
+    for dt, n_steps in ((0.6, 2), (0.4, 3)):
+        times, devs, masses = fp.simulate(fp_bench, equil, u, 1.0, dt)
+        assert times.size == devs.size == masses.size == n_steps + 1
+        assert times[0] == 0.0 and times[-1] == 1.0
+        assert np.all(np.diff(times) <= dt)
+
+
 def test_input_energy_is_zero_outside_domain():
     # energy rate 2 on [0.5, 1) and 4 on [1, 2]; simulate accepts a step
     # grid that ends past the input, so the energy must be defined there

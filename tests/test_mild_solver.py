@@ -16,7 +16,7 @@ def scalar_model(lam: float, mu: float = 1.0) -> SystemModel:
         semigroup=lambda t, x: math.exp(lam * t) * x,
         apply_B1=lambda z: mu * z,
         apply_B2=lambda v: np.atleast_1d(v).astype(float),
-        F=lambda x, u: float(np.atleast_1d(u)[0]) * x,
+        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
         m=1.0,
         lipschitz=lambda k: 1.0,
         M=1.0,
@@ -127,9 +127,53 @@ def test_blowup_detection():
                       blowup_threshold=threshold)
     assert traj.status == "blowup"
     assert traj.t_blowup == pytest.approx(math.log(threshold) / 3.0, abs=0.05)
+    # the cut trajectory is the unbounded solve up to the first crossing
+    full = solve_mild(m, [1.0], u1, None, 12.0, tol=1e-8, quad_h=1e-2,
+                      blowup_threshold=math.inf)
+    assert full.status == "complete" and full.grid[-1] == 12.0
+    n = traj.grid.size
+    assert np.array_equal(full.grid[:n], traj.grid)
+    assert np.array_equal(full.states[:n], traj.states)
+    assert full.norms[n - 1] > threshold >= np.max(full.norms[: n - 1])
     stable = solve_mild(scalar_model(-1.0), [1.0], None, None, 1.0)
     assert detect_blowup(stable, 10.0) is None
     assert detect_blowup(traj, threshold) == traj.t_blowup
+
+
+def test_two_inputs_match_ode_reference():
+    # x' = lam x + mu u1 x + u2 with a scalar u1 and a 2-component u2
+    from scipy.integrate import solve_ivp
+
+    lam, mu = np.array([-1.0, -3.0]), np.array([1.0, 0.5])
+    model = SystemModel(
+        dim=2,
+        semigroup=lambda t, x: np.exp(lam * t) * x,
+        apply_B1=lambda z: mu * z,
+        apply_B2=lambda v: np.asarray(v, dtype=float),
+        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
+        m=1.0,
+        lipschitz=lambda k: 1.0,
+        omega=1.0,
+        adm_c=float(np.linalg.norm(mu / np.sqrt(2.0 * np.abs(lam)))),
+    )
+    T = 2.0
+    u1 = random_signal(4, 1, Interval(0.0, T), 8, 0.8)
+    u2 = random_signal(5, 2, Interval(0.0, T), 6, 1.0)
+    x0 = np.array([1.0, -0.5])
+    traj = solve_mild(model, x0, u1, u2, T, tol=1e-10, quad_h=1e-3)
+    assert traj.status == "complete" and traj.grid[-1] == T
+    # reference: the linear ODE of each input cell, cell after cell
+    ref, x = np.empty_like(traj.states), x0
+    breaks = np.union1d(u1.grid, u2.grid)
+    for b0, b1 in zip(breaks[:-1], breaks[1:]):
+        c1 = u1.value_at(0.5 * (b0 + b1))[0]
+        c2 = u2.value_at(0.5 * (b0 + b1))
+        sol = solve_ivp(lambda t, y: (lam + mu * c1) * y + c2, (b0, b1), x,
+                        method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+        here = (traj.grid >= b0) & (traj.grid <= b1)
+        ref[here] = sol.sol(traj.grid[here]).T
+        x = sol.y[:, -1]
+    assert np.max(np.abs(traj.states - ref)) <= 1e-6
 
 
 def test_input_domain_checked():
