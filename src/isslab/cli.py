@@ -11,9 +11,11 @@ trajectory.csv.  Exit codes: 0 success, 1 audit failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -126,10 +128,36 @@ def _parse_young(spec: dict) -> YoungFunction:
     return phi
 
 
-_EXPR_NAMES = {
-    "np": np, "pi": np.pi, "e": np.e, "cos": np.cos, "sin": np.sin,
-    "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs, "log": np.log,
+_EXPR_NAMES = {"pi": np.pi, "e": np.e}
+_EXPR_FUNCS = {
+    "cos": np.cos, "sin": np.sin, "exp": np.exp, "sqrt": np.sqrt,
+    "abs": np.abs, "log": np.log,
 }
+_EXPR_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+
+
+def _eval_expr(node: ast.AST, names: dict):
+    """Value of a parsed field expression.  Only numbers (as float64, so a
+    huge power overflows to inf), the given names, arithmetic and
+    one-argument calls of _EXPR_FUNCS are allowed, so a config runs no code."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return np.float64(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_expr(node.operand, names))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_OPS:
+        return _EXPR_OPS[type(node.op)](_eval_expr(node.left, names),
+                                        _eval_expr(node.right, names))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCS and len(node.args) == 1
+            and not node.keywords):
+        return _EXPR_FUNCS[node.func.id](_eval_expr(node.args[0], names))
+    raise DataError(f"{ast.unparse(node)!r} is not allowed in a field expression")
 
 
 def _parse_field(spec, J: int) -> np.ndarray:
@@ -143,7 +171,8 @@ def _parse_field(spec, J: int) -> np.ndarray:
         # non-finite samples are rejected by build_model, not warned about
         try:
             with np.errstate(all="ignore"):
-                value = eval(spec["expr"], {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+                tree = ast.parse(spec["expr"], mode="eval")
+                value = _eval_expr(tree.body, {**_EXPR_NAMES, "x": x})
             out = np.broadcast_to(np.asarray(value, dtype=float), x.shape).copy()
         except Exception as exc:
             raise DataError(

@@ -12,9 +12,10 @@ form with arithmetic-mean drift interpolation and half-cell boundary rows,
 
 so the trapezoid-weighted column sums vanish identically and time stepping
 conserves mass to round-off.  Both operators are stored only as their three
-bands (see FPModel).  Time integration is Crank-Nicolson with a direct
-tridiagonal solve; the control is frozen per step, which is exact in time
-for piecewise-constant inputs.
+bands (see FPModel).  Time integration is Crank-Nicolson with the control
+frozen per step, exact in time for piecewise-constant inputs: I - dt/2 (A +
+u B) is LU-factored (LAPACK gttrf) once per run of equal controls, each step
+is one gttrs solve, and simulate checks and reduces its states in blocks.
 
 The stationary density is the Gibbs kernel e^{-W/nu} (normalized); the
 decay rate toward it is the spectral gap of the generator symmetrized by
@@ -29,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse import dia_array
 
 from .bounds import AuditReport, audit, gamma_fp
@@ -80,8 +82,8 @@ class DensityField:
 class FPModel:
     """Assembled discrete model: generator A (diffusion + potential drift),
     control generator B (drift along alpha), trapezoid weights.  A and B are
-    tridiagonal dia_arrays with offsets [1, 0, -1], so their .data is
-    solve_banded's (1, 1) layout: A[i-1, i], A[i, i], A[i+1, i] in column i."""
+    tridiagonal dia_arrays with offsets [1, 0, -1], so their .data holds
+    A[i-1, i], A[i, i], A[i+1, i] in column i."""
 
     J: int
     nu: float
@@ -182,21 +184,37 @@ def l2_norm(m: FPModel, v: np.ndarray) -> float:
     return float(math.sqrt(np.sum(m.weights * np.asarray(v) ** 2)))
 
 
-def _cn_advance(m: FPModel, values: np.ndarray, u_cell: float, dt: float) -> np.ndarray:
-    """Node values after one Crank-Nicolson step of (A + u_cell B)."""
-    half = 0.5 * dt * (m.A.data + u_cell * m.B.data)
-    rhs = values + half[1] * values  # (I + half) values, band by band
-    rhs[:-1] += half[0, 1:] * values[1:]
-    rhs[1:] += half[2, :-1] * values[:-1]
-    lhs = -half
-    lhs[1] += 1.0
-    try:
-        new = solve_banded((1, 1), lhs, rhs, overwrite_ab=True, overwrite_b=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"step: Crank-Nicolson solve failed ({exc}); reduce dt")
-    if not np.all(np.isfinite(new)):
-        raise NumericError("step: Crank-Nicolson produced non-finite values; reduce dt")
-    return new
+# states that simulate holds between its per-block checks and reductions;
+# fixed, so memory does not grow with T/dt
+_BLOCK_ROWS = 32
+
+
+def _cn_factor(m: FPModel, u_cell: float, dt: float) -> tuple:
+    """Crank-Nicolson operators for the control u_cell: the three bands of
+    dt/2 (A + u_cell B) and the LU factors of I - dt/2 (A + u_cell B)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * dt * (m.A.data + u_cell * m.B.data)
+    if not np.all(np.isfinite(half)):
+        raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
+    *lu, info = dgttrf(-half[2, :-1], 1.0 - half[1], -half[0, 1:])
+    if info != 0:
+        raise NumericError(f"Crank-Nicolson matrix is singular (gttrf info {info}); reduce dt")
+    return (half[0, 1:], half[1], half[2, :-1]), lu
+
+
+def _cn_solve(factor: tuple, v: np.ndarray) -> np.ndarray:
+    """Node values one Crank-Nicolson step after v, unchecked."""
+    (upper, diag, lower), lu = factor
+    rhs = v + diag * v  # (I + dt/2 (A + u B)) v, band by band
+    rhs[:-1] += upper * v[1:]
+    rhs[1:] += lower * v[:-1]
+    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+
+
+def _finite(states: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(states)):
+        raise NumericError("Crank-Nicolson produced non-finite values; reduce dt")
+    return states
 
 
 def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityField:
@@ -204,7 +222,11 @@ def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityFiel
     frozen at u_cell."""
     if dt <= 0:
         raise DomainError("dt must be > 0")
-    return DensityField(m.grid, _cn_advance(m, rho.values, u_cell, dt))
+    if rho.values.size != m.J + 1:
+        raise DataError(f"density has {rho.values.size} nodes, the model {m.J + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = _cn_solve(_cn_factor(m, u_cell, dt), rho.values)
+    return DensityField(m.grid, _finite(new))
 
 
 def project_P(m: FPModel, y: DensityField) -> DensityField:
@@ -267,6 +289,8 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     identically zero."""
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be > 0")
+    if rho0.values.size != m.J + 1:
+        raise DataError(f"density has {rho0.values.size} nodes, the model {m.J + 1}")
     rho_inf = discrete_stationary_density(m).values
     n_steps = max(1, math.ceil(T / dt - 1e-9))
     dt = T / n_steps
@@ -274,13 +298,19 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0] if u is not None else np.zeros(n_steps)
     devs = np.empty(n_steps + 1)
     masses = np.empty(n_steps + 1)
-    v = rho0.values
-    devs[0] = l2_norm(m, v - rho_inf)
-    masses[0] = rho0.mass
-    for i, u_cell in enumerate(controls.tolist()):
-        v = _cn_advance(m, v, u_cell, dt)
-        devs[i + 1] = l2_norm(m, v - rho_inf)
-        masses[i + 1] = np.trapezoid(v, m.grid)
+    rows = np.empty((_BLOCK_ROWS, m.J + 1))  # state i is row i % _BLOCK_ROWS
+    rows[0] = v = rho0.values
+    u_factored = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, u_cell in enumerate(controls.tolist(), start=1):
+            if u_cell != u_factored:
+                factor, u_factored = _cn_factor(m, u_cell, dt), u_cell
+            r = i % _BLOCK_ROWS
+            rows[r] = v = _cn_solve(factor, v)
+            if r == _BLOCK_ROWS - 1 or i == n_steps:
+                block = _finite(rows[:r + 1])
+                devs[i - r:i + 1] = np.sqrt(((block - rho_inf) ** 2) @ m.weights)
+                masses[i - r:i + 1] = np.trapezoid(block, m.grid, axis=1)
     return times, devs, masses
 
 

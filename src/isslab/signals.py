@@ -195,6 +195,8 @@ def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float)
         raise DomainError("cells must be >= 1")
     if amplitude < 0:
         raise DomainError("amplitude must be >= 0")
+    if not math.isfinite(2 * amplitude):
+        raise DomainError(f"amplitude {amplitude} is too large: 2 * amplitude must be finite")
     rng = np.random.Generator(np.random.Philox(seed))
     grid = np.linspace(iv.t0, iv.t1, cells + 1)
     values = rng.uniform(-amplitude, amplitude, size=(cells, d))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,19 @@ def test_failing_field_expression_exits_2(tmp_path, capsys, expr):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def test_field_expression_cannot_run_code(tmp_path, capsys):
+    target = tmp_path / "written.txt"
+    for expr in (f"x*0 + (np.savetxt({str(target)!r}, x) or 0)",
+                 "x*0+().__class__.__base__.__subclasses__().__len__()/1e9"):
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "fp-gap", "params": {"nu": 0.5, "J": 32, "W": {"expr": expr}},
+        })
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert code == 2, expr
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not target.exists()
+
+
 def test_wrong_length_field_exits_2(tmp_path, capsys):
     for W in ({"expr": "x[:3]"}, {"expr": "'text'"}, {"expr": "x.reshape(-1, 1)"}):
         cfg = write_config(tmp_path, "c.json", {
@@ -233,6 +247,25 @@ def test_simulate_fp_command(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_mass_drift"] <= 1e-9
     assert (out / "trajectory.csv").read_text().splitlines()[0] == "t,deviation,mass"
+
+
+def test_huge_input_amplitude_exits_without_traceback(tmp_path, capsys):
+    # 5e307 overflows the Crank-Nicolson matrix (numeric, exit 3); 1e308
+    # cannot be sampled uniformly (config, exit 2); neither warns
+    for amplitude, code, error in ((5e307, 3, "numeric"), (1e308, 2, "config")):
+        cfg = write_config(tmp_path, "c.json", {
+            "command": "simulate-fp",
+            "params": {
+                "nu": 0.5, "J": 32, "W": {"expr": "cos(2*pi*x)/2"},
+                "alpha": {"expr": "sin(pi*x)", "clamp": True}, "T": 0.1, "dt": 1e-3,
+                "u": {"t0": 0, "t1": 0.1, "cells": 5, "amplitude": amplitude, "seed": 3},
+            },
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
+        assert got == code, amplitude
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_admissibility_scan_command(tmp_path):

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import dia_array
 
 from isslab import fokker_planck as fp
-from isslab.errors import ContractError, DataError, DomainError
+from isslab.errors import ContractError, DataError, DomainError, NumericError
 from isslab.signals import Interval, Signal, random_signal
 
 
@@ -185,6 +187,62 @@ def test_step_time_accuracy(fp_bench):
     # halving dt shrinks the endpoint difference at least quadratically
     # (faster transients of the stiff modes can make it shrink more)
     assert e1 / e2 >= 3.0
+
+
+def stepped_reference(m, rho0, u, T, n):
+    """simulate's record, rebuilt from n public step calls."""
+    dt = T / n
+    times = np.linspace(0.0, T, n + 1)
+    rho_inf = fp.discrete_stationary_density(m).values
+    rho, devs, masses = rho0, [], []
+    for t in times:
+        devs.append(fp.l2_norm(m, rho.values - rho_inf))
+        masses.append(rho.mass)
+        if t < T:
+            u_cell = 0.0 if u is None else u.value_at([t + 0.5 * dt])[0, 0]
+            rho = fp.step(m, rho, u_cell, dt)
+    return times, np.array(devs), np.array(masses)
+
+
+@pytest.mark.parametrize("u, T, dt", [
+    # one control for all steps: a factor reused across blocks
+    (None, 0.3, 1e-3),
+    (Signal.constant(0.7, Interval(0.0, 0.25)), 0.25, 1.3e-3),
+    # 7 cells whose boundaries fall inside steps
+    (random_signal(4, 1, Interval(0.0, 0.2), 7, 1.5), 0.2, 0.2 / 150),
+])
+def test_simulate_matches_stepping(fp_bench, u, T, dt):
+    x = fp_bench.grid
+    rho0 = fp.DensityField(x, fp.stationary_density(fp_bench).values + 0.2 * np.cos(np.pi * x))
+    times, devs, masses = fp.simulate(fp_bench, rho0, u, T, dt)
+    n = times.size - 1
+    assert n > fp._BLOCK_ROWS and (n + 1) % fp._BLOCK_ROWS != 0  # last block partial
+    ref_times, ref_devs, ref_masses = stepped_reference(fp_bench, rho0, u, T, n)
+    assert times.tobytes() == ref_times.tobytes()
+    assert np.max(np.abs(devs - ref_devs) / ref_devs) <= 1e-13
+    assert np.max(np.abs(masses - ref_masses) / ref_masses) <= 1e-13
+    assert np.max(np.abs(masses - rho0.mass)) <= 1e-9
+
+
+def test_step_numeric_errors(fp_bench):
+    rho = fp.discrete_stationary_density(fp_bench)
+    with pytest.raises(NumericError, match="overflows"), np.errstate(all="raise"):
+        fp.step(fp_bench, rho, 1e308, 1e-3)  # the bands overflow
+    # A = (2/dt) I makes I - dt/2 A exactly zero
+    n, dt = fp_bench.J + 1, 0.5
+    bands = np.zeros((3, n))
+    bands[1] = 2.0 / dt
+    singular = replace(fp_bench, A=dia_array((bands, [1, 0, -1]), shape=(n, n)))
+    with pytest.raises(NumericError, match="singular"):
+        fp.step(singular, rho, 0.0, dt)
+
+
+def test_step_and_simulate_reject_wrong_length_density(fp_bench):
+    short = fp.DensityField(np.linspace(0.0, 1.0, 10), np.ones(10))
+    with pytest.raises(DataError):
+        fp.step(fp_bench, short, 0.0, 1e-3)
+    with pytest.raises(DataError):
+        fp.simulate(fp_bench, short, None, 0.1, 1e-3)
 
 
 def test_project_P(fp_bench):

@@ -155,6 +155,15 @@ def test_random_signal_deterministic_and_bounded():
     assert lp_norm(zero, 1) == 0.0
 
 
+def test_random_signal_rejects_overflowing_amplitude():
+    # rng.uniform(-a, a) needs the width 2a to be finite
+    iv = Interval(0.0, 1.0)
+    assert np.max(np.abs(random_signal(1, 1, iv, 4, 8e307).values)) <= 8e307
+    for amplitude in (1e308, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            random_signal(1, 1, iv, 4, amplitude)
+
+
 def test_lp_norm_values():
     assert lp_norm(Signal.constant(1.0, Interval(0.0, 4.0)), 2) == pytest.approx(2.0)
     assert lp_norm(Signal.constant(3.0, Interval(0.0, 1.0)), math.inf) == 3.0
