@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 import scipy
 
-from . import __version__, bounds, diagonal, fokker_planck as fp
+from . import __version__, bounds, diagonal
 from .errors import DataError, IsslabError, NumericError
 from .mild_solver import solve_mild
 from .orlicz import YoungFunction, complementary, luxemburg_norm
@@ -180,7 +180,8 @@ def _parse_field(spec, J: int) -> np.ndarray:
                 f"{J + 1} node samples ({exc})"
             ) from exc
         if spec.get("clamp"):
-            out = fp.clamp_end_slopes(out)
+            from .fokker_planck import clamp_end_slopes
+            out = clamp_end_slopes(out)
     return out
 
 
@@ -225,6 +226,8 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
 
 
 def _build_fp(params: dict) -> fp.FPModel:
+    # imported here: fokker_planck pulls in scipy.linalg and scipy.sparse
+    from . import fokker_planck as fp
     J = params["J"]
     W = _parse_field(params["W"], J)
     alpha = _parse_field(params.get("alpha", {"expr": "0*x"}), J)
@@ -232,6 +235,7 @@ def _build_fp(params: dict) -> fp.FPModel:
 
 
 def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
+    from . import fokker_planck as fp
     model = _build_fp(params)
     u = _parse_signal(params["u"], seed) if "u" in params else None
     rho_inf = fp.stationary_density(model)
@@ -310,6 +314,7 @@ def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
 
 
 def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
+    from . import fokker_planck as fp
     model = _build_fp(params)
     gap = fp.spectral_gap(model)
     rho_inf = fp.stationary_density(model)

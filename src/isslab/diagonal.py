@@ -131,34 +131,13 @@ def closed_form_trajectory(m: DiagonalModel, x0, u: Signal | None,
     return Trajectory(times, closed_form_solution(m, x0, u, times))
 
 
-def to_system_model(m: DiagonalModel, adm_c: float | None = None,
-                    phi: YoungFunction | None = None) -> SystemModel:
-    """Package the truncation for the Picard solver.
-
-    The semigroup is applied in closed form (exact exponential factors);
-    F(x, u) = u * x with m = 1, Lipschitz constant 1 on every ball; B1 is
-    the diagonal matrix of mu_n.  The admissibility surrogate defaults to
-    the l^2 combination of the per-mode Cauchy-Schwarz constants.
-    """
-    lam, mu = m.lam, m.mu
-    if np.any(lam >= 0):
+def to_system_model(m: DiagonalModel) -> SystemModel:
+    """The truncation as the Picard solver's model; its admissibility
+    surrogate is the l^2 combination of the per-mode L^2 constants."""
+    if np.any(m.lam >= 0):
         raise DomainError("to_system_model expects strictly stable modes")
-    if adm_c is None:
-        adm_c = float(np.linalg.norm(mu / np.sqrt(2.0 * np.abs(lam))))
-    omega = float(-np.max(lam))
-    return SystemModel(
-        dim=m.N,
-        semigroup=lambda t, x: np.exp(lam * t) * x,
-        apply_B1=lambda z: mu * z,
-        apply_B2=lambda v: np.broadcast_to(v, np.shape(v)[:-1] + (m.N,)).astype(float),
-        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
-        m=1.0,
-        lipschitz=lambda k: 1.0,
-        M=1.0,
-        omega=omega,
-        adm_c=adm_c,
-        phi=phi if phi is not None else YoungFunction.power(2),
-    )
+    adm_c = float(np.linalg.norm(m.mu / np.sqrt(2.0 * np.abs(m.lam))))
+    return SystemModel(m.lam, m.mu, adm_c)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,13 @@ class Signal:
         return np.diff(self.grid)
 
     def cell_norms(self) -> np.ndarray:
-        """Euclidean norm of each cell's value vector."""
-        return np.linalg.norm(self.values, axis=1)
+        """Euclidean norm of each cell's value vector, scaled where squares overflow."""
+        with np.errstate(over="ignore"):
+            r = np.linalg.norm(self.values, axis=1)
+            big = np.isinf(r)
+            scale = np.max(np.abs(self.values[big]), axis=1, keepdims=True)
+            r[big] = scale[:, 0] * np.linalg.norm(self.values[big] / scale, axis=1)
+        return r
 
     def value_at(self, t) -> np.ndarray:
         """Value of the cell containing t, right-continuous (the last cell owns

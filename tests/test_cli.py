@@ -215,11 +215,12 @@ def test_malformed_field_spec_exits_2(tmp_path, capsys, W):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-def test_cli_import_defers_scipy_integrate():
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse"])
+def test_cli_import_defers_scipy_integrate(module):
     src = str(Path(isslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = "import sys, isslab.cli; sys.exit('scipy.integrate' in sys.modules)"
+    code = f"import sys, isslab.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -266,6 +267,21 @@ def test_huge_input_amplitude_exits_without_traceback(tmp_path, capsys):
             got = main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"])
         assert got == code, amplitude
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_orlicz_norm_of_huge_signal(tmp_path):
+    # cell values near 1e200 have squares beyond double range
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "orlicz-norm",
+        "params": {"young": {"kind": "power", "p": 2},
+                   "signal": {"t0": 0, "t1": 1, "cells": 4, "amplitude": 1e200, "seed": 3}},
+    })
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    norm = json.loads((out / "summary.json").read_text())["norm"]
+    assert 1e199 < norm < 1e201
 
 
 def test_admissibility_scan_command(tmp_path):

@@ -2,27 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isslab.diagonal import closed_form_solution, example3_model, to_system_model
+from isslab.diagonal import (
+    DiagonalModel,
+    closed_form_solution,
+    example3_model,
+    mode_admissibility_l2,
+    to_system_model,
+)
 from isslab.errors import DataError, DomainError
 from isslab.mild_solver import SystemModel, Trajectory, detect_blowup, solve_mild
 from isslab.signals import Interval, Signal, random_signal, restrict
 
 
 def scalar_model(lam: float, mu: float = 1.0) -> SystemModel:
-    """x' = lam x + mu u1 x + u2 with closed-form semigroup."""
-    return SystemModel(
-        dim=1,
-        semigroup=lambda t, x: math.exp(lam * t) * x,
-        apply_B1=lambda z: mu * z,
-        apply_B2=lambda v: np.atleast_1d(v).astype(float),
-        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
-        m=1.0,
-        lipschitz=lambda k: 1.0,
-        M=1.0,
-        omega=-lam,
-        adm_c=abs(mu) / math.sqrt(2.0 * abs(lam)) if lam < 0 else 1.0,
-    )
+    """x' = lam x + mu u1 x + u2."""
+    return SystemModel([lam], [mu],
+                       abs(mu) / math.sqrt(2.0 * abs(lam)) if lam < 0 else 1.0)
 
 
 def test_trajectory_validation():
@@ -74,6 +72,25 @@ def test_oracle_agreement_diagonal():
         assert err <= 1e-6
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_solver_matches_oracle_on_random_diagonal_models(data):
+    """solve_mild agrees with closed_form_solution to 1e-6, the bound of
+    simulate-diagonal, at every node on [0, 1], with the CLI's tol=1e-8 and
+    quad_h=5e-4.  Drawn: N in 1..3, lam_n in [-4, -0.5], mu_n in [-2, 2],
+    x0_n in [-1, 1], and a scalar u1 of 1..8 cells with amplitude in [0, 1]."""
+    N = data.draw(st.integers(1, 3))
+    lam = np.array(data.draw(st.lists(st.floats(-4.0, -0.5), min_size=N, max_size=N)))
+    mu = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=N, max_size=N)))
+    x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N)))
+    u1 = random_signal(data.draw(st.integers(0, 2**16)), 1, Interval(0.0, 1.0),
+                       data.draw(st.integers(1, 8)), data.draw(st.floats(0.0, 1.0)))
+    model = DiagonalModel(N, lam, mu)
+    traj = solve_mild(to_system_model(model), x0, u1, None, 1.0, tol=1e-8, quad_h=5e-4)
+    assert traj.status == "complete"
+    assert np.max(np.abs(traj.states - closed_form_solution(model, x0, u1, traj.grid))) <= 1e-6
+
+
 def test_restart_consistency():
     model = example3_model(6)
     sm = to_system_model(model)
@@ -105,17 +122,23 @@ def test_grid_refinement_second_order():
 
 
 def test_semigroup_model_laws():
-    sm = to_system_model(example3_model(5))
-    rng = np.random.Generator(np.random.Philox(8))
-    for _ in range(5):
-        x = rng.normal(size=5)
-        t, s = rng.uniform(0.0, 0.5, 2)
-        assert np.allclose(sm.semigroup(0.0, x), x)
-        assert np.allclose(
-            sm.semigroup(t + s, x), sm.semigroup(t, sm.semigroup(s, x)), rtol=1e-10
-        )
-        u = rng.normal()
-        assert np.linalg.norm(sm.F(x, u)) <= sm.m * np.linalg.norm(x) * abs(u) + 1e-12
+    dm = example3_model(5)
+    sm = to_system_model(dm)
+    assert np.array_equal(sm.lam, dm.lam) and np.array_equal(sm.mu, dm.mu)
+    assert sm.dim == 5 and sm.omega == 2.0
+    # the l^2 combination of the per-mode L^2 admissibility constants
+    per_mode = [mode_admissibility_l2(lam_n, mu_n, math.inf)
+                for lam_n, mu_n in zip(dm.lam, dm.mu)]
+    assert sm.adm_c == pytest.approx(math.hypot(*per_mode), rel=1e-14)
+    unstable = DiagonalModel(2, np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(DomainError):
+        to_system_model(unstable)
+    with pytest.raises(DataError):
+        SystemModel([-1.0, -2.0], [1.0], 1.0)
+    with pytest.raises(DomainError):
+        SystemModel([-1.0], [1.0], -1.0)
+    # a zero control operator has admissibility constant 0
+    assert to_system_model(DiagonalModel(1, np.array([-1.0]), np.zeros(1))).adm_c == 0.0
 
 
 def test_blowup_detection():
@@ -145,17 +168,7 @@ def test_two_inputs_match_ode_reference():
     from scipy.integrate import solve_ivp
 
     lam, mu = np.array([-1.0, -3.0]), np.array([1.0, 0.5])
-    model = SystemModel(
-        dim=2,
-        semigroup=lambda t, x: np.exp(lam * t) * x,
-        apply_B1=lambda z: mu * z,
-        apply_B2=lambda v: np.asarray(v, dtype=float),
-        F=lambda x, u: np.atleast_1d(u)[..., :1] * x,
-        m=1.0,
-        lipschitz=lambda k: 1.0,
-        omega=1.0,
-        adm_c=float(np.linalg.norm(mu / np.sqrt(2.0 * np.abs(lam)))),
-    )
+    model = SystemModel(lam, mu, float(np.linalg.norm(mu / np.sqrt(2.0 * np.abs(lam)))))
     T = 2.0
     u1 = random_signal(4, 1, Interval(0.0, T), 8, 0.8)
     u2 = random_signal(5, 2, Interval(0.0, T), 6, 1.0)
@@ -181,6 +194,13 @@ def test_input_domain_checked():
     short = Signal.constant(1.0, Interval(0.0, 0.5))
     with pytest.raises(DomainError):
         solve_mild(m, [1.0], short, None, 1.0)
+    # u1 is scalar; u2 has one component or one per mode
+    sm = to_system_model(example3_model(4))
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(DomainError):
+        solve_mild(sm, np.ones(4), random_signal(0, 2, iv, 4, 0.5), None, 1.0)
+    with pytest.raises(DomainError):
+        solve_mild(sm, np.ones(4), None, random_signal(0, 3, iv, 4, 0.5), 1.0)
 
 
 def test_trajectory_serialization(tmp_path):

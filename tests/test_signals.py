@@ -169,6 +169,11 @@ def test_lp_norm_values():
     assert lp_norm(Signal.constant(3.0, Interval(0.0, 1.0)), math.inf) == 3.0
     with pytest.raises(DomainError):
         lp_norm(Signal.constant(1.0, Interval(0.0, 1.0)), 0.5)
+    # squares of values above about 1.3e154 overflow, the norms must not
+    big = random_signal(1, 1, Interval(0.0, 1.0), 4, 8e307)
+    assert lp_norm(big, math.inf) == np.max(np.abs(big.values))
+    r = Signal(np.arange(3.0), [[3.0, 4.0], [1e200, -1e200]]).cell_norms()
+    assert r[0] == 5.0 and r[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
 
 
 def test_lp_norm_monotone_in_interval():
