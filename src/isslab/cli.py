@@ -98,16 +98,6 @@ CONFIG_SCHEMA = {
 }
 
 
-def _sha256(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _write_summary(out_dir: Path, payload: dict) -> None:
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _parse_signal(spec: dict, seed_override: int | None = None) -> Signal:
     jsonschema.validate(spec, _SIGNAL_SCHEMA)
     spec = _Params(spec)
@@ -352,7 +342,7 @@ def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> i
     summary = {
         "command": command,
         "seed": eff_seed,
-        "config_sha256": _sha256(config_bytes),
+        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "params": config["params"],
         "versions": {
             "isslab": __version__,
@@ -363,7 +353,9 @@ def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> i
     }
     result = _DISPATCH[command](_Params(config["params"]), eff_seed, out_dir)
     summary.update(result)
-    _write_summary(out_dir, summary)
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0 if summary.get("pass", True) else 1
 
 

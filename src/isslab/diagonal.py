@@ -136,7 +136,12 @@ def to_system_model(m: DiagonalModel) -> SystemModel:
     surrogate is the l^2 combination of the per-mode L^2 constants."""
     if np.any(m.lam >= 0):
         raise DomainError("to_system_model expects strictly stable modes")
-    adm_c = float(np.linalg.norm(m.mu / np.sqrt(2.0 * np.abs(m.lam))))
+    c = m.mu / np.sqrt(2.0 * np.abs(m.lam))
+    top = np.max(np.abs(c))
+    with np.errstate(over="ignore"):
+        adm_c = float(np.linalg.norm(c))
+    if adm_c in (0.0, math.inf) and top > 0:  # the squares under- or overflowed
+        adm_c = float(top * np.linalg.norm(c / top))
     return SystemModel(m.lam, m.mu, adm_c)
 
 

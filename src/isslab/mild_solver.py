@@ -18,6 +18,9 @@ where w_{j-1} and w_j are the forcing at the two ends of cell j under that
 cell's input.  The factors T(dt_j) of a window are computed once for all
 its sweeps, and a sweep evaluates the window's forcings as two array
 expressions, so the stiff linear part is never time-stepped explicitly.
+Each step is an affine map x -> g_j x + c_j; a sweep composes them by an
+inclusive doubling scan (Hillis-Steele) in ceil(log2 n) array steps that
+only multiply and add, so factors that underflow to 0 stay exact.
 The first pass has zero forcing and gives the free evolution.
 """
 
@@ -151,18 +154,22 @@ def _picard(model: SystemModel, x_a: np.ndarray, nodes: np.ndarray,
     v1 = u1.value_at(mids) if u1 is not None else np.zeros((dts.size, 1))
     b2 = u2.value_at(mids) if u2 is not None else 0.0
     # the first pass has zero forcing: it gives the free evolution
-    w_prev = w_here = np.zeros(growth.shape)
+    c = np.zeros(growth.shape)
     x = None
     for _ in range(_PICARD_CAP + 1):
-        x_new = np.empty((nodes.size, model.dim))
-        x_new[0] = x_a
-        for j in range(1, nodes.size):
-            x_new[j] = growth[j - 1] * (x_new[j - 1] + w_prev[j - 1]) + w_here[j - 1]
+        # inclusive Hillis-Steele scan of the affine maps x -> g x + c
+        g, s = growth.copy(), 1
+        while s < dts.size:
+            c[s:] = g[s:] * c[:-s] + c[s:]
+            g[s:] *= g[:-s]
+            s *= 2
+        x_new = np.vstack([x_a, g * x_a + c])
         if x is not None and np.max(np.linalg.norm(x_new - x, axis=1)) <= tol:
             return x_new
         x = x_new
-        w_prev = half * (model.mu * (v1 * x[:-1]) + b2)
-        w_here = half * (model.mu * (v1 * x[1:]) + b2)
+        # c_j = g_j w_{j-1} + w_j, the forcings at both ends of cell j
+        c = (growth * (half * (model.mu * (v1 * x[:-1]) + b2))
+             + half * (model.mu * (v1 * x[1:]) + b2))
     return None
 
 

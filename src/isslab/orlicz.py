@@ -5,9 +5,10 @@ and -> infinity at infinity.  The identity kind is the explicit L^1
 convention and is exempt from the growth conditions.  The Luxemburg norm of
 a piecewise-constant signal is computed exactly: the defining integral is a
 finite sum of rectangle terms and the map k -> int Phi(|u|/k) is monotone
-decreasing, so bracketing plus bisection is globally convergent.  One
-batched kernel runs that bisection for many cell-width rows at once; the
-single norm and the prefix norms of an ISS audit both call it.
+decreasing, so bracketing plus bisection is globally convergent.  The power
+kinds skip it: their norm is p^{-1/p} (s^p/p) or 1 (s^p) times the L^p
+norm, a closed form that no tolerance affects.  One batched kernel serves
+many cell-width rows; the single norm and the audit's prefix norms call it.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -46,6 +47,8 @@ _LEGENDRE_KNOTS = 512
 _VALUE_CAP = 1e250
 # knots per (knots x grid) temporary in the batched Legendre grid search
 _LEGENDRE_CHUNK = 32
+# upward ulp steps that bring a closed-form power norm to the feasible side
+_NUDGE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,11 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
     """Luxemburg norms over the shared cell norms r, one per row of cell
     widths W; a zero width leaves the cell out of its row.
 
-    Each row runs the scalar sequence: start at k = max r, halve or double
-    until the modular crosses 1, then bisect until hi - lo <= tol*(1+hi).
-    A row freezes once it meets its own stopping test, and returns hi, the
-    feasible side, so no row under-reports its norm.
+    Power kinds take the closed form m (sum w (r/m)^p [/p])^{1/p}, m the
+    row's largest live r, stepped up by ulps to the feasible side.  Other rows
+    halve or double k from max r until the modular crosses 1, then bisect to
+    their own stopping test hi - lo <= tol*(1+hi) and return hi, the feasible
+    side.  No row under-reports its norm; a norm below 1e-300 is 0.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -272,6 +276,19 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
 
     with np.errstate(over="ignore", invalid="ignore"):
+        if phi.kind in ("power", "power_over_p"):
+            mod = np.add.reduce(W * phi._eval(r / k[:, None]), axis=1, where=live)
+            # below m DBL_MAX^{-1/p} the modular overflows: no k there is feasible
+            hi = np.maximum(k * mod ** (1.0 / phi.p), k * np.finfo(float).max ** (-1.0 / phi.p))
+            for _ in range(_NUDGE_CAP):
+                short = ~feasible(W, live, hi)
+                if not short.any():
+                    break
+                hi[short] = np.nextafter(hi[short], np.inf)
+            else:
+                raise NumericError("luxemburg_norm: closed form not feasible")
+            out[rows] = np.where(hi < 1e-300, 0.0, hi)
+            return out
         # bracket the unique crossing of the modular through 1; a row that
         # is infeasible at k doubles upward, a feasible one halves downward
         up = ~feasible(W, live, k)
@@ -320,8 +337,9 @@ def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
                    tol: float = 1e-12) -> float:
     """inf{k > 0 : int_iv Phi(|u(s)|/k) ds <= 1}, exact quadrature.
 
-    The identity kind returns the L^1 norm exactly; the a.e.-zero signal
-    has norm 0.
+    tol is the bisection tolerance.  The identity kind returns the L^1 norm
+    and the power kinds their closed form, exactly and whatever tol; the
+    a.e.-zero signal has norm 0.
     """
     if iv is not None:
         u = restrict(u, iv)

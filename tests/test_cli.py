@@ -355,3 +355,19 @@ def test_report_lists_non_object_summary(tmp_path):
     report = (out / "report.md").read_text()
     assert f"- missing summaries: {listed}" in report
     assert "- runs: 0" in report
+
+
+@pytest.mark.parametrize("kind", ["power", "power_over_p"])
+def test_power_orlicz_norm_does_not_depend_on_tol(tmp_path, kind):
+    # the power kinds are closed form: tol only steers the bisection
+    norms = []
+    for tol in (1e-3, 1e-12):
+        cfg = write_config(tmp_path, f"{tol}.json", {
+            "command": "orlicz-norm",
+            "params": {"young": {"kind": kind, "p": 3}, "tol": tol,
+                       "signal": {"t0": 0, "t1": 2, "cells": 16, "amplitude": 1.0, "seed": 7}},
+        })
+        out = tmp_path / f"run{tol}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        norms.append(json.loads((out / "summary.json").read_text())["norm"])
+    assert norms[0] == norms[1] > 0

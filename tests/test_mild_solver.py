@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from isslab.diagonal import (
     DiagonalModel,
     closed_form_solution,
+    closed_form_trajectory,
     example3_model,
     mode_admissibility_l2,
     to_system_model,
@@ -91,6 +93,33 @@ def test_solver_matches_oracle_on_random_diagonal_models(data):
     assert np.max(np.abs(traj.states - closed_form_solution(model, x0, u1, traj.grid))) <= 1e-6
 
 
+def test_scan_with_underflowing_and_growing_factors():
+    # e^{-1e6 dt} underflows to 0 at dt = 1e-3 while e^{0.5 dt} exceeds 1;
+    # with u2 = None each mode is exp(lam t + mu int u1) x0 exactly
+    lam, mu = np.array([-1e6, 0.5]), np.array([1.0, 0.5])
+    u1 = random_signal(4, 1, Interval(0.0, 2.0), 8, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = solve_mild(SystemModel(lam, mu, 1.0), [1.0, 1.0], u1, None, 2.0,
+                          tol=1e-10, quad_h=1e-3)
+        exact = closed_form_solution(DiagonalModel(2, lam, mu), [1.0, 1.0], u1, traj.grid)
+    assert traj.status == "complete" and traj.grid[-1] == 2.0
+    assert np.all(traj.states[1:, 0] == 0.0)
+    assert np.max(np.abs(traj.states - exact)) <= 1e-6
+
+
+def test_oracle_agreement_n14():
+    # |lam_14| = 16384: quad_h is set so |lam_N| quad_h stays small, where
+    # the trapezoid error is below the 1e-6 oracle bound
+    model = example3_model(14)
+    x0 = np.ones(14)
+    u = random_signal(1, 1, Interval(0.0, 1.0), 12, 1.0)
+    traj = solve_mild(to_system_model(model), x0, u, None, 1.0, tol=1e-8, quad_h=1.25e-5)
+    assert traj.status == "complete"
+    oracle = closed_form_trajectory(model, x0, u, traj.grid)
+    assert np.max(np.abs(traj.states - oracle.states)) <= 1e-6
+
+
 def test_restart_consistency():
     model = example3_model(6)
     sm = to_system_model(model)
@@ -139,6 +168,13 @@ def test_semigroup_model_laws():
         SystemModel([-1.0], [1.0], -1.0)
     # a zero control operator has admissibility constant 0
     assert to_system_model(DiagonalModel(1, np.array([-1.0]), np.zeros(1))).adm_c == 0.0
+    # squares that under- or overflow still give the l^2 combination
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = to_system_model(DiagonalModel(1, np.array([-1.0]), np.array([2.85e-217])))
+        huge = to_system_model(DiagonalModel(2, np.array([-1.0, -1.0]), np.full(2, 1e160)))
+    assert tiny.adm_c == pytest.approx(2.85e-217 / math.sqrt(2.0), rel=1e-14, abs=0.0)
+    assert huge.adm_c == pytest.approx(1e160, rel=1e-14)
 
 
 def test_blowup_detection():

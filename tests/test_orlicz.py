@@ -195,6 +195,10 @@ def test_luxemburg_matches_lp(p):
         assert luxemburg_norm(YoungFunction.power(p), u) == pytest.approx(
             lp_norm(u, p), rel=1e-8
         )
+        # s^p/p is the L^p norm scaled by p^{-1/p}, in closed form
+        assert luxemburg_norm(YoungFunction.power_over_p(p), u) == pytest.approx(
+            p ** (-1.0 / p) * lp_norm(u, p), rel=1e-14
+        )
 
 
 @given(
@@ -283,10 +287,29 @@ def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
             assert norm == 0.0
             continue
         ur = restrict(u, Interval(0.0, t))
-        assert norm == luxemburg_norm(phi, u, Interval(0.0, t)) == _luxemburg_one(phi, ur)
+        assert norm == luxemburg_norm(phi, u, Interval(0.0, t))
+        if phi.kind in ("power", "power_over_p"):
+            # the closed form: feasible, no larger than the bisection (4 ulps
+            # allowed), and tight where the bisection stopped up to 1e-12 above
+            ref = _luxemburg_one(phi, ur)
+            assert norm <= ref + 4 * np.spacing(ref)
+            if norm > 0:
+                assert _modular(phi, ur.cell_norms(), ur.widths, (1 - 1e-13) * norm) > 1.0
+        else:
+            assert norm == _luxemburg_one(phi, ur)
         if norm > 0 and phi.kind != "identity":
             # the feasible side: the norm never under-reports
             assert _modular(phi, ur.cell_norms(), ur.widths, norm) <= 1.0
+
+
+def test_power_norm_of_subnormal_width_cell():
+    # the true norm 3.2e-158 lies where the modular overflows (below 7.2e-158):
+    # the closed form stops at that clamp instead of stepping up forever
+    phi = YoungFunction.power(2)
+    u = restrict(Signal(np.array([0.0, 1.0]), np.array([[9.7e-4]])), Interval(0.0, 1.1e-309))
+    norm = luxemburg_norm(phi, u)
+    assert 0.0 < norm <= _luxemburg_one(phi, u) == pytest.approx(1.45e-157, rel=1e-3)
+    assert _modular(phi, u.cell_norms(), u.widths, norm) <= 1.0
 
 
 def test_prefix_norms_shape_and_domain():
