@@ -4,8 +4,11 @@ CSV/JSON artifacts.
 Every run writes results.csv (fixed column order, 17-significant-digit
 floats) and summary.json (inputs echoed, config hash, seeds, library
 versions, pass flag); simulate-* commands additionally write
-trajectory.csv.  Exit codes: 0 success, 1 audit failure, 2 config error,
-3 numeric failure.
+trajectory.csv.  Exit codes: 0 success, 1 a check failed, 2 config error,
+3 numeric failure, 4 internal error (a fault of the program, reported as
+JSON like the others).  A config is checked against one parameter table
+per command (_DISPATCH): unknown keys, missing required keys, wrong types and
+counts below their minimum are config errors.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import operator
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -29,93 +31,84 @@ from .mild_solver import solve_mild
 from .orlicz import YoungFunction, complementary, luxemburg_norm
 from .signals import Interval, Signal, random_signal, write_csv
 
-COMMANDS = (
-    "orlicz-norm",
-    "simulate-diagonal",
-    "simulate-fp",
-    "audit-iss",
-    "admissibility-scan",
-    "fp-gap",
-)
-
-_SIGNAL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "t0": {"type": "number", "minimum": 0},
-        "t1": {"type": "number"},
-        "constant": {"type": ["number", "array"]},
-        "zero": {"type": "boolean"},
-        "seed": {"type": "integer", "minimum": 0},
-        "d": {"type": "integer", "minimum": 1},
-        "cells": {"type": "integer", "minimum": 1},
-        "amplitude": {"type": "number", "minimum": 0},
-    },
-    "required": ["t0", "t1"],
-}
-
-_YOUNG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["power", "power_over_p", "loglog", "identity"]},
-        "p": {"type": "number", "exclusiveMinimum": 1},
-        "complementary": {"type": "boolean"},
-    },
-    "required": ["kind"],
-}
-
-_FIELD_SCHEMA = {
-    "oneOf": [
-        {"type": "array", "items": {"type": "number"}},
-        {
-            "type": "object",
-            "properties": {
-                "expr": {"type": "string"},
-                "clamp": {"type": "boolean"},
-            },
-            "required": ["expr"],
-        },
-    ]
-}
-
-class _Params(dict):
-    """Command params or a signal spec; a required key that is absent is a
-    config error."""
-
-    def __missing__(self, key):
-        raise DataError(f"config needs {key!r}")
+# A parameter table maps each key to (test, inclusive minimum, default): a
+# test is a predicate, a nested table or a tuple of either.  Tables check
+# types and the bounds that no library call checks.
+_REQUIRED = object()  # the default of a key that a config must give
 
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "out_dir": {"type": "string"},
-        "params": {"type": "object"},
-    },
-    "required": ["command", "params"],
-    "additionalProperties": False,
+def _is(*types):
+    return lambda v: type(v) in types
+
+
+def _list_of(test):
+    return lambda v: type(v) is list and v != [] and all(map(test, v))
+
+
+_NUM, _INT, _BOOL, _STR = _is(int, float), _is(int), _is(bool), _is(str)
+_NUMS = _list_of(_NUM)
+
+
+def _checked(spec, table: dict, where: str) -> dict:
+    """spec with every default of table filled in; an unknown or missing
+    key, or a value that fails its test or minimum, is a config error."""
+    if type(spec) is not dict:
+        raise DataError(f"{where} must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(table))
+    if unknown:
+        raise DataError(f"{where} has unknown keys {unknown}")
+    out = {}
+    for key, (test, low, default) in table.items():
+        name, value = f"{where}.{key}", spec.get(key, default)
+        if value is _REQUIRED:
+            raise DataError(f"config needs {name}")
+        if key in spec:
+            for alt in test if type(test) is tuple else (test,):
+                if type(alt) is dict and type(value) is dict:
+                    value = _checked(value, alt, name)
+                    break
+                if callable(alt) and alt(value):
+                    break
+            else:
+                raise DataError(f"{name} has the wrong type: {value!r}")
+            if low is not None and min(value if type(value) is list else [value]) < low:
+                raise DataError(f"{name} must be >= {low}, got {value!r}")
+        out[key] = value
+    return out
+
+
+_SIGNAL = {
+    "t0": (_NUM, None, _REQUIRED), "t1": (_NUM, None, _REQUIRED),
+    "constant": ((_NUM, _NUMS), None, None), "zero": (_BOOL, None, False),
+    "seed": (_INT, 0, None), "d": (_INT, 1, 1),
+    "cells": (_INT, None, None), "amplitude": (_NUM, None, None),
 }
 
 
 def _parse_signal(spec: dict, seed_override: int | None = None) -> Signal:
-    jsonschema.validate(spec, _SIGNAL_SCHEMA)
-    spec = _Params(spec)
     iv = Interval(spec["t0"], spec["t1"])
-    if spec.get("zero"):
-        return Signal.zero(iv, spec.get("d", 1))
-    if "constant" in spec:
+    if spec["zero"]:
+        return Signal.zero(iv, spec["d"])
+    if spec["constant"] is not None:
         return Signal.constant(spec["constant"], iv)
-    seed = seed_override if seed_override is not None else spec["seed"]
-    return random_signal(seed, spec.get("d", 1), iv, spec["cells"], spec["amplitude"])
+    seed = spec["seed"] if seed_override is None else seed_override
+    for key, value in (("seed", seed), ("cells", spec["cells"]),
+                       ("amplitude", spec["amplitude"])):
+        if value is None:
+            raise DataError(f"a random signal needs {key!r}")
+    return random_signal(seed, spec["d"], iv, spec["cells"], spec["amplitude"])
+
+
+_YOUNG = {
+    "kind": (lambda v: v in ("power", "power_over_p", "loglog", "identity"),
+             None, _REQUIRED),
+    "p": (_NUM, None, None), "complementary": (_BOOL, None, False),
+}
 
 
 def _parse_young(spec: dict) -> YoungFunction:
-    jsonschema.validate(spec, _YOUNG_SCHEMA)
-    phi = YoungFunction(spec["kind"], p=spec.get("p"))
-    if spec.get("complementary"):
-        phi = complementary(phi)
-    return phi
+    phi = YoungFunction(spec["kind"], p=spec["p"])
+    return complementary(phi) if spec["complementary"] else phi
 
 
 _EXPR_NAMES = {"pi": np.pi, "e": np.e}
@@ -150,13 +143,16 @@ def _eval_expr(node: ast.AST, names: dict):
     raise DataError(f"{ast.unparse(node)!r} is not allowed in a field expression")
 
 
-def _parse_field(spec, J: int) -> np.ndarray:
-    """Node samples from a literal list or a whitelisted expression of x."""
-    jsonschema.validate(spec, _FIELD_SCHEMA)
-    x = np.linspace(0.0, 1.0, J + 1)
-    if isinstance(spec, list):
-        out = np.asarray(spec, dtype=float)
-    else:
+_FIELD = (_NUMS, {"expr": (_STR, None, _REQUIRED), "clamp": (_BOOL, None, False)})
+
+
+def _parse_field(spec):
+    """Node samples as a literal list, or as a function of the nodes x that
+    evaluates a whitelisted expression."""
+    if type(spec) is list:
+        return spec
+
+    def samples(x: np.ndarray) -> np.ndarray:
         # any failure of the config's expression is a config error;
         # non-finite samples are rejected by build_model, not warned about
         try:
@@ -167,12 +163,14 @@ def _parse_field(spec, J: int) -> np.ndarray:
         except Exception as exc:
             raise DataError(
                 f"field expression {spec['expr']!r} must give one number or "
-                f"{J + 1} node samples ({exc})"
+                f"{x.size} node samples ({exc})"
             ) from exc
-        if spec.get("clamp"):
+        if spec["clamp"]:
             from .fokker_planck import clamp_end_slopes
             out = clamp_end_slopes(out)
-    return out
+        return out
+
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -183,54 +181,45 @@ def _parse_field(spec, J: int) -> np.ndarray:
 def _cmd_orlicz_norm(params: dict, seed, out_dir: Path) -> dict:
     phi = _parse_young(params["young"])
     u = _parse_signal(params["signal"], seed)
-    tol = params.get("tol", 1e-12)
-    norm = luxemburg_norm(phi, u, tol=tol)
+    norm = luxemburg_norm(phi, u, tol=params["tol"])
     write_csv(out_dir / "results.csv", ["kind", "norm"], [[phi.kind, norm]])
     return {"norm": norm, "pass": True}
 
 
 def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     model = diagonal.example3_model(params["N"])
-    T = params["T"]
-    u1 = _parse_signal(params["u1"], seed) if "u1" in params else None
-    x0 = np.asarray(params.get("x0", [1.0] * params["N"]), dtype=float)
-    tol = params.get("tol", 1e-8)
+    u1 = _parse_signal(params["u1"], seed) if params["u1"] else None
+    x0 = np.asarray(params["x0"] or [1.0] * params["N"], dtype=float)
     traj = solve_mild(
-        diagonal.to_system_model(model), x0, u1, None, T,
-        tol=tol, quad_h=params.get("quad_h", 5e-4),
+        diagonal.to_system_model(model), x0, u1, None, params["T"],
+        tol=params["tol"], quad_h=params["quad_h"],
     )
     oracle = diagonal.closed_form_trajectory(model, x0, u1, traj.grid)
     errs = np.max(np.abs(traj.states - oracle.states), axis=1).tolist()
-    traj.to_csv(out_dir / "trajectory.csv", full_state=params.get("full_state", False))
+    traj.to_csv(out_dir / "trajectory.csv", full_state=params["full_state"])
     write_csv(out_dir / "results.csv", ["t", "norm", "oracle_error"],
               np.column_stack([traj.grid, traj.norms, errs]).tolist())
     # the oracle distance combines the fixed-point tolerance with the
     # quadrature error of the convolution
-    ok = max(errs) <= params.get("oracle_tol", 1e-6)
-    return {
-        "status": traj.status,
-        "max_oracle_error": max(errs),
-        "n_points": int(traj.grid.size),
-        "pass": bool(ok),
-    }
+    ok = max(errs) <= params["oracle_tol"]
+    return {"status": traj.status, "max_oracle_error": max(errs),
+            "n_points": int(traj.grid.size), "pass": bool(ok)}
 
 
 def _build_fp(params: dict) -> fp.FPModel:
     # imported here: fokker_planck pulls in scipy.linalg and scipy.sparse
     from . import fokker_planck as fp
-    J = params["J"]
-    W = _parse_field(params["W"], J)
-    alpha = _parse_field(params.get("alpha", {"expr": "0*x"}), J)
-    return fp.build_model(params["nu"], W, alpha, J)
+    return fp.build_model(params["nu"], _parse_field(params["W"]),
+                          _parse_field(params["alpha"]), params["J"])
 
 
 def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
     from . import fokker_planck as fp
     model = _build_fp(params)
-    u = _parse_signal(params["u"], seed) if "u" in params else None
+    u = _parse_signal(params["u"], seed) if params["u"] else None
     rho_inf = fp.stationary_density(model)
     rho0 = rho_inf
-    if "rho0_modes" in params:
+    if params["rho0_modes"]:
         pert = sum(
             c * np.cos((k + 1) * np.pi * model.grid)
             for k, c in enumerate(params["rho0_modes"])
@@ -246,31 +235,27 @@ def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
 
 
 def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
-    model = diagonal.example3_model(params["N"])
-    T = params["T"]
-    amplitude = params.get("amplitude", 1.0)
-    cells = params.get("cells", 16)
-    n_cases = params.get("cases", 50)
+    N, T, n_cases = params["N"], params["T"], params["cases"]
+    model = diagonal.example3_model(N)
     base_seed = seed if seed is not None else 0
     phi = complementary(YoungFunction.loglog())
-    c_b1 = params.get("C_B1")
+    c_b1 = params["C_B1"]
     if c_b1 is None:
-        c_b1 = diagonal.example3_admissibility(params["N"])["C_B1"]
-    bp = bounds.BoundParams(
-        M=params.get("M", 1.0), omega=params.get("omega", 2.0),
-        m=params.get("m", 1.0), C_B1=c_b1,
-    )
-    times = np.linspace(0.0, T, params.get("samples", 41))
+        c_b1 = diagonal.example3_admissibility(N)["C_B1"]
+    bp = bounds.BoundParams(M=params["M"], omega=params["omega"], m=params["m"],
+                            C_B1=c_b1)
+    times = np.linspace(0.0, T, params["samples"])
     rows = []
     for i in range(n_cases):
         case_seed = base_seed + i
         rng = np.random.Generator(np.random.Philox(case_seed))
-        x0 = rng.uniform(-1.0, 1.0, params["N"])
-        u1 = random_signal(case_seed + 10_000, 1, Interval(0.0, T), cells, amplitude)
+        x0 = rng.uniform(-1.0, 1.0, N)
+        u1 = random_signal(case_seed + 10_000, 1, Interval(0.0, T), params["cells"],
+                           params["amplitude"])
         x0_norm = float(np.linalg.norm(x0))
         traj = diagonal.closed_form_trajectory(model, x0, u1, times)
         rhs = bounds.iss_rhs(bp, x0_norm, u1, None, phi, phi, times)
-        rep = bounds.audit(traj, rhs, tol=params.get("tol", 1e-6))
+        rep = bounds.audit(traj, rhs, tol=params["tol"])
         rows.append([i, case_seed, x0_norm, rep.max_violation,
                      rep.min_slack_ratio, rep.passed])
     write_csv(
@@ -284,9 +269,7 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
 
 
 def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
-    rows = diagonal.lp_admissibility_scan(
-        params.get("p", 2.0), params["N_list"], params.get("t", math.inf)
-    )
+    rows = diagonal.lp_admissibility_scan(params["p"], params["N_list"], params["t"])
     write_csv(
         out_dir / "results.csv",
         ["N", "value", "log10_value"],
@@ -296,11 +279,8 @@ def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
         rows[i + 1]["log10_constant"] >= rows[i]["log10_constant"]
         for i in range(len(rows) - 1)
     )
-    return {
-        "max_log10_constant": rows[-1]["log10_constant"],
-        "monotone_growth": monotone,
-        "pass": True,
-    }
+    return {"max_log10_constant": rows[-1]["log10_constant"],
+            "monotone_growth": monotone, "pass": True}
 
 
 def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
@@ -315,43 +295,59 @@ def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
         [[gap["omega"], gap["lambda0"], gap["e0_check"],
           gap["symmetry_defect"], residual]],
     )
-    return {
-        "omega": gap["omega"],
-        "lambda0": gap["lambda0"],
-        "e0_check": gap["e0_check"],
-        "kernel_residual": residual,
-        "pass": True,
-    }
+    return {"omega": gap["omega"], "lambda0": gap["lambda0"],
+            "e0_check": gap["e0_check"], "kernel_residual": residual, "pass": True}
 
 
+_FP = {"nu": (_NUM, None, _REQUIRED), "J": (_INT, None, _REQUIRED),
+       "W": (_FIELD, None, _REQUIRED),
+       "alpha": (_FIELD, None, {"expr": "0*x", "clamp": False})}
+_N, _T = (_INT, None, _REQUIRED), (_NUM, None, _REQUIRED)
+
+# each command's function and parameter table
 _DISPATCH = {
-    "orlicz-norm": _cmd_orlicz_norm,
-    "simulate-diagonal": _cmd_simulate_diagonal,
-    "simulate-fp": _cmd_simulate_fp,
-    "audit-iss": _cmd_audit_iss,
-    "admissibility-scan": _cmd_admissibility_scan,
-    "fp-gap": _cmd_fp_gap,
+    "orlicz-norm": (_cmd_orlicz_norm, {
+        "young": (_YOUNG, None, _REQUIRED), "signal": (_SIGNAL, None, _REQUIRED),
+        "tol": (_NUM, None, 1e-12)}),
+    "simulate-diagonal": (_cmd_simulate_diagonal, {
+        "N": _N, "T": _T, "u1": (_SIGNAL, None, None), "x0": (_NUMS, None, None),
+        "tol": (_NUM, None, 1e-8), "quad_h": (_NUM, None, 5e-4),
+        "full_state": (_BOOL, None, False), "oracle_tol": (_NUM, 0, 1e-6)}),
+    "simulate-fp": (_cmd_simulate_fp, {
+        **_FP, "T": _T, "dt": (_NUM, None, _REQUIRED),
+        "u": (_SIGNAL, None, None), "rho0_modes": (_NUMS, None, None)}),
+    "audit-iss": (_cmd_audit_iss, {
+        "N": _N, "T": _T, "cases": (_INT, 0, 50), "samples": (_INT, 2, 41),
+        "cells": (_INT, None, 16), "amplitude": (_NUM, None, 1.0),
+        "C_B1": (_NUM, None, None), "M": (_NUM, None, 1.0),
+        "omega": (_NUM, None, 2.0), "m": (_NUM, None, 1.0), "tol": (_NUM, None, 1e-6)}),
+    "admissibility-scan": (_cmd_admissibility_scan, {
+        "N_list": (_list_of(_INT), 1, _REQUIRED), "p": (_NUM, None, 2.0),
+        "t": (_NUM, None, math.inf)}),
+    "fp-gap": (_cmd_fp_gap, _FP),
 }
+_CONFIG = {"command": (lambda v: type(v) is str and v in _DISPATCH, None, _REQUIRED),
+           "params": (_is(dict), None, _REQUIRED), "seed": (_INT, 0, None),
+           "out_dir": (_STR, None, ".")}
 
 
 def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> int:
-    jsonschema.validate(config, CONFIG_SCHEMA)
+    """Run a config that passed the _CONFIG table, checking its params."""
     command = config["command"]
-    eff_seed = seed if seed is not None else config.get("seed")
+    cmd, table = _DISPATCH[command]
+    params = _checked(config["params"], table, "params")
+    eff_seed = seed if seed is not None else config["seed"]
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "command": command,
         "seed": eff_seed,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "params": config["params"],
-        "versions": {
-            "isslab": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-        },
+        "versions": {"isslab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "python": ".".join(map(str, sys.version_info[:3]))},
     }
-    result = _DISPATCH[command](_Params(config["params"]), eff_seed, out_dir)
+    result = cmd(params, eff_seed, out_dir)
     summary.update(result)
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -391,6 +387,11 @@ def report(run_dirs: list[Path], out_dir: Path) -> int:
     return 0 if n_pass == len(rows) else 1
 
 
+def _fail(error: str, detail, code: int) -> int:
+    print(json.dumps({"error": error, "detail": str(detail)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="isslab",
@@ -418,23 +419,19 @@ def main(argv=None) -> int:
 
     try:
         config_bytes = Path(args.config).read_bytes()
-        config = json.loads(config_bytes)
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except (OSError, json.JSONDecodeError, jsonschema.ValidationError) as exc:
-        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
-        return 2
-    out_dir = Path(args.out or config.get("out_dir", "."))
+        config = _checked(json.loads(config_bytes), _CONFIG, "config")
+    except (OSError, ValueError, DataError) as exc:
+        return _fail("config", exc, 2)
+    out_dir = Path(args.out or config["out_dir"])
     try:
         code = run(config, out_dir, args.seed, config_bytes)
-    except jsonschema.ValidationError as exc:
-        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
-        return 2
     except NumericError as exc:
-        print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
-        return 3
+        return _fail("numeric", exc, 3)
     except IsslabError as exc:
-        print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
-        return 2
+        return _fail("config", exc, 2)
+    except Exception:  # a fault of the program: exit 1 means a failed check
+        import traceback  # only here: it costs every run a few ms to import
+        return _fail("internal", traceback.format_exc(), 4)
     if not args.quiet:
         print(f"{config['command']}: exit {code}, artifacts in {out_dir}")
     return code

@@ -235,8 +235,8 @@ def lp_admissibility_scan(p: float, N_list, t: float = math.inf) -> list[dict]:
     numerical evidence that no finite p yields a bounded constant. At p = 2
     the supremum is attained at n = N for N >= 7, giving 2^{(N-1)/2}/N.
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    if not (p >= 1 and t > 0):
+        raise DomainError(f"need p >= 1 and t > 0, got p={p}, t={t}")
     rows = []
     for N in N_list:
         best = -math.inf

@@ -289,6 +289,8 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     identically zero."""
     if T <= 0 or dt <= 0:
         raise DomainError("T and dt must be > 0")
+    if u is not None and u.d != 1:
+        raise DomainError(f"the control u must be scalar, got {u.d} components")
     if rho0.values.size != m.J + 1:
         raise DataError(f"density has {rho0.values.size} nodes, the model {m.J + 1}")
     rho_inf = discrete_stationary_density(m).values

@@ -91,12 +91,12 @@ class Signal:
         return np.diff(self.grid)
 
     def cell_norms(self) -> np.ndarray:
-        """Euclidean norm of each cell's value vector, scaled where squares overflow."""
+        """Euclidean norm of each cell's value vector, rescaled where squares under/overflow."""
         with np.errstate(over="ignore"):
             r = np.linalg.norm(self.values, axis=1)
-            big = np.isinf(r)
-            scale = np.max(np.abs(self.values[big]), axis=1, keepdims=True)
-            r[big] = scale[:, 0] * np.linalg.norm(self.values[big] / scale, axis=1)
+            odd = np.isinf(r) | ((r == 0) & np.any(self.values != 0, axis=1))
+            scale = np.max(np.abs(self.values[odd]), axis=1, keepdims=True)
+            r[odd] = scale[:, 0] * np.linalg.norm(self.values[odd] / scale, axis=1)
         return r
 
     def value_at(self, t) -> np.ndarray:
@@ -215,10 +215,11 @@ def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
     if iv is not None:
         u = restrict(u, iv)
     r = u.cell_norms()
-    if math.isinf(p):
-        return float(np.max(r))
-    w = u.widths
-    return float(np.sum(w * r**p) ** (1.0 / p))
+    m = float(np.max(r))
+    if math.isinf(p) or m == 0.0:
+        return m
+    # scaled by the largest cell norm, so that r**p cannot underflow or overflow
+    return m * float(np.sum(u.widths * (r / m) ** p) ** (1.0 / p))
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -1,13 +1,22 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isslab
+from isslab import diagonal
 from isslab.cli import main
 
 
@@ -215,7 +224,8 @@ def test_malformed_field_spec_exits_2(tmp_path, capsys, W):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse",
+                                    "jsonschema"])
 def test_cli_import_defers_scipy_integrate(module):
     src = str(Path(isslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -371,3 +381,121 @@ def test_power_orlicz_norm_does_not_depend_on_tol(tmp_path, kind):
         assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         norms.append(json.loads((out / "summary.json").read_text())["norm"])
     assert norms[0] == norms[1] > 0
+
+
+_SIGNAL = {"t0": 0, "t1": 0.2, "cells": 2, "amplitude": 1.0, "seed": 1, "d": 1,
+           "zero": False}
+# one small valid config per command, each a few tens of milliseconds; they
+# give every key that the mutations should reach
+_VALID = {
+    "orlicz-norm": {"young": {"kind": "power", "p": 3, "complementary": False},
+                    "signal": _SIGNAL, "tol": 1e-6},
+    "simulate-diagonal": {"N": 2, "T": 0.2, "u1": _SIGNAL, "x0": [1.0, -1.0],
+                          "tol": 1e-8, "quad_h": 1e-3, "full_state": True,
+                          "oracle_tol": 1e-6},
+    "simulate-fp": {"nu": 0.5, "J": 16, "W": {"expr": "cos(2*pi*x)/2"},
+                    "alpha": {"expr": "sin(pi*x)", "clamp": True}, "T": 0.01,
+                    "dt": 2e-3, "rho0_modes": [0.1],
+                    "u": {"t0": 0, "t1": 0.01, "constant": 0.5}},
+    "audit-iss": {"N": 2, "T": 0.5, "cases": 1, "cells": 2, "samples": 5,
+                  "amplitude": 0.5, "C_B1": 2.0, "M": 1.0, "omega": 2.0, "m": 1.0,
+                  "tol": 1e-6},
+    "admissibility-scan": {"N_list": [1, 3], "p": 2.0, "t": 1.0},
+    "fp-gap": {"nu": 1.0, "J": 16, "W": [0.0] * 17},
+}
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_TARGETS =[(command, path) for command in _VALID for path in
+            _key_paths({"command": command, "seed": 1, "params": _VALID[command]})]
+_DELETE, _ADD_KEY = "<delete the key>", "<add an unknown key>"
+
+
+def _run_quietly(config: dict) -> tuple[int, str]:
+    """Exit code and stderr of one in-process run of config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "r"),
+                         "--quiet"])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", _VALID)
+def test_fuzz_base_config_exits_0(command):
+    # the mutations below start from configs that run cleanly
+    assert _run_quietly({"command": command, "seed": 1, "params": _VALID[command]}) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_TARGETS),
+       st.sampled_from(["x", True, None, -1, -2.5, [], {}, _DELETE, _ADD_KEY]))
+def test_mutated_config_exits_0_2_or_3(target, mutation):
+    # exit 1 means a check failed; a config must never cause it or a traceback
+    command, path = target
+    config = copy.deepcopy({"command": command, "seed": 1, "params": _VALID[command]})
+    parent = functools.reduce(operator.getitem, path[:-1], config)
+    if mutation == _DELETE:
+        del parent[path[-1]]
+    elif mutation == _ADD_KEY:
+        parent["unknown"] = 1
+    else:
+        parent[path[-1]] = mutation
+    code, err = _run_quietly(config)
+    assert code in (0, 2, 3), (config, code, err)
+    if code:
+        assert isinstance(json.loads(err), dict), err
+
+
+@pytest.mark.parametrize("command, change", [
+    ("audit-iss", {"N": "8"}),
+    ("simulate-diagonal", {"N": "8"}),
+    ("fp-gap", {"J": 1.5}),
+    ("admissibility-scan", {"N_list": []}),
+    ("admissibility-scan", {"N_list": "abc"}),
+    ("admissibility-scan", {"N_list": [0]}),
+    ("admissibility-scan", {"t": 0}),
+    ("orlicz-norm", {"tol": "x"}),
+    ("audit-iss", {"samples": 2.5}),
+    ("audit-iss", {"samples": 1}),
+    ("audit-iss", {"C_B1": "x"}),
+    ("audit-iss", {"cases": -1}),
+    ("audit-iss", {"cels": 4}),
+    ("simulate-diagonal", {"oracle_tol": -1e-6}),
+    ("simulate-fp", {"rho0_modes": "ab"}),
+    ("simulate-fp", {"u": {"t0": 0, "t1": 0.01, "constant": [1, 2]}}),
+    ("simulate-fp", {"J": -5}),
+])
+def test_malformed_param_exits_2(command, change):
+    config = {"command": command, "params": {**_VALID[command], **change}}
+    code, err = _run_quietly(config)
+    assert code == 2, err
+    assert json.loads(err)["error"] == "config"
+
+
+def test_summary_echoes_params_as_given(tmp_path):
+    params = {"N": 2, "T": 0.5, "cases": 1}
+    cfg = write_config(tmp_path, "c.json", {"command": "audit-iss", "params": params})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["params"] == params
+
+
+def test_unexpected_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise ZeroDivisionError("a fault of the program")
+
+    monkeypatch.setattr(diagonal, "lp_admissibility_scan", broken)
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "admissibility-scan", "params": {"N_list": [1, 3]}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "internal" and "ZeroDivisionError" in err["detail"]

@@ -194,6 +194,12 @@ def test_lp_admissibility_scan_closed_form():
     assert all(b >= a for a, b in zip(logs, logs[1:]))
 
 
+def test_lp_admissibility_scan_needs_positive_horizon():
+    for t in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            lp_admissibility_scan(2.0, [5], t)
+
+
 def test_admissibility_certificate(adm8):
     assert adm8["C_B1"] > 0
     assert len(adm8["c_n"]) == 8

@@ -245,6 +245,13 @@ def test_step_and_simulate_reject_wrong_length_density(fp_bench):
         fp.simulate(fp_bench, short, None, 0.1, 1e-3)
 
 
+def test_simulate_rejects_vector_control(fp_bench):
+    # one scalar control multiplies B; a second component has no operator
+    u = Signal.constant([1.0, 2.0], Interval(0.0, 0.1))
+    with pytest.raises(DomainError):
+        fp.simulate(fp_bench, fp.stationary_density(fp_bench), u, 0.1, 1e-3)
+
+
 def test_project_P(fp_bench):
     rho_inf = fp.stationary_density(fp_bench)
     assert np.max(np.abs(fp.project_P(fp_bench, rho_inf).values)) <= 1e-12

@@ -172,8 +172,13 @@ def test_lp_norm_values():
     # squares of values above about 1.3e154 overflow, the norms must not
     big = random_signal(1, 1, Interval(0.0, 1.0), 4, 8e307)
     assert lp_norm(big, math.inf) == np.max(np.abs(big.values))
-    r = Signal(np.arange(3.0), [[3.0, 4.0], [1e200, -1e200]]).cell_norms()
+    r = Signal(np.arange(4.0), [[3.0, 4.0], [1e200, -1e200], [1e-200, 0.0]]).cell_norms()
     assert r[0] == 5.0 and r[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    # and squares below about 1e-308 underflow, the norms must not
+    assert r[2] == 1e-200
+    tiny = Signal.constant(1e-200, Interval(0.0, 1.0))
+    assert luxemburg_norm(YoungFunction.power(2), tiny) == pytest.approx(1e-200, rel=1e-15)
+    assert lp_norm(tiny, 2) == pytest.approx(1e-200, rel=1e-15)
 
 
 def test_lp_norm_monotone_in_interval():
