@@ -5,21 +5,7 @@ trajectories, and a conservative 1-D Fokker-Planck solver."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ContractError,
-    DataError,
-    DomainError,
-    IsslabError,
-    NumericError,
-    UnsupportedError,
-)
+from . import errors
+from .errors import *  # the exception hierarchy: the names in errors.__all__
 
-__all__ = [
-    "__version__",
-    "IsslabError",
-    "DomainError",
-    "DataError",
-    "NumericError",
-    "ContractError",
-    "UnsupportedError",
-]
+__all__ = ["__version__", *errors.__all__]

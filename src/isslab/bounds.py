@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
-from .orlicz import YoungFunction, luxemburg_norm, prefix_luxemburg_norms
-from .signals import _EXP_OVERFLOW, Interval, Signal, exp_weight
+from .orlicz import YoungFunction, prefix_luxemburg_norms
+from .signals import _EXP_OVERFLOW, Signal
 
 __all__ = [
     "BoundParams",
@@ -36,8 +36,6 @@ __all__ = [
     "gamma2",
     "gamma_fp",
     "iss_rhs",
-    "iss_rhs_timevarying",
-    "linf_bound_constant",
     "audit",
 ]
 
@@ -181,10 +179,7 @@ def iss_rhs(p: BoundParams, x0_norm: float, u1: Signal | None, u2: Signal | None
     one prefix-norm solve per input.
     """
     if p.omega <= 0.0:
-        raise ContractError(
-            "iss_rhs needs omega > 0; use iss_rhs_timevarying for the "
-            "general-type estimate"
-        )
+        raise ContractError("iss_rhs needs omega > 0: it is the exponentially stable estimate")
     ts = np.asarray(t, dtype=float)
     if x0_norm < 0 or np.any(ts < 0):
         raise DomainError("iss_rhs needs x0_norm, t >= 0")
@@ -195,53 +190,6 @@ def iss_rhs(p: BoundParams, x0_norm: float, u1: Signal | None, u2: Signal | None
         for ti, a, b in zip(ts.ravel().tolist(), n1.ravel().tolist(), n2.ravel().tolist())
     ]).reshape(ts.shape)
     return rhs if rhs.ndim else float(rhs)
-
-
-def iss_rhs_timevarying(p: BoundParams, x0_norm: float, u1: Signal | None,
-                        u2: Signal | None, phi: YoungFunction,
-                        psi: YoungFunction, t: float) -> float:
-    """General-type estimate: the additive input enters through the
-    exponentially weighted norm e^{-(omega/2)t} ||e^{(omega/2) s} u2||.
-    The C fields are interpreted as the per-horizon constants C_{t,B}."""
-    if x0_norm < 0 or t < 0:
-        raise DomainError("iss_rhs_timevarying needs x0_norm, t >= 0")
-    if u2 is None or t == 0.0:
-        u2_term = 0.0
-    else:
-        if abs(0.5 * p.omega * t) > _EXP_OVERFLOW:
-            raise NumericError("iss_rhs_timevarying: |omega*t/2| exceeds overflow guard")
-        weighted = exp_weight(u2, 0.5 * p.omega)
-        u2_term = math.exp(-0.5 * p.omega * t) * luxemburg_norm(
-            psi, weighted, Interval(0.0, t)
-        )
-    return (
-        beta(p, x0_norm, t)
-        + gamma1(p, p.C_B1 * float(_input_norm(phi, u1, t)))
-        + gamma2(p.C_B2 * u2_term)
-    )
-
-
-# ---------------------------------------------------------------------------
-# L-infinity comparison constant
-# ---------------------------------------------------------------------------
-
-
-def linf_bound_constant(psi: YoungFunction, omega: float) -> float:
-    """Constant C = max{1/eps, 2/omega} with Psi(x) <= x on (0, eps].
-
-    It guarantees e^{-(omega/2)t} ||e^{(omega/2) s} u2||_{E_Psi(0,t)}
-    <= C ||u2||_{L_infinity} uniformly in t.  eps is found by grid search
-    on a log grid down to 1e-12.
-    """
-    if omega <= 0:
-        raise DomainError("linf_bound_constant needs omega > 0")
-    for eps in np.geomspace(1.0, 1e-12, 400):
-        xs = np.geomspace(eps * 1e-8, eps, 60)
-        if np.all(psi(xs) <= xs * (1.0 + 1e-12)):
-            return max(1.0 / eps, 2.0 / omega)
-    raise NumericError(
-        "linf_bound_constant: no eps <= 1 with Psi(x) <= x found above 1e-12"
-    )
 
 
 # ---------------------------------------------------------------------------

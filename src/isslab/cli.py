@@ -7,8 +7,9 @@ versions, pass flag); simulate-* commands additionally write
 trajectory.csv.  Exit codes: 0 success, 1 a check failed, 2 config error,
 3 numeric failure, 4 internal error (a fault of the program, reported as
 JSON like the others).  A config is checked against one parameter table
-per command (_DISPATCH): unknown keys, missing required keys, wrong types and
-counts below their minimum are config errors.
+per command (_DISPATCH): unknown keys, missing required keys, wrong types,
+numbers that are not finite doubles or int64 integers, and counts below
+their minimum are config errors.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ def _list_of(test):
     return lambda v: type(v) is list and v != [] and all(map(test, v))
 
 
-_NUM, _INT, _BOOL, _STR = _is(int, float), _is(int), _is(bool), _is(str)
+# int64 integers and finite doubles only: NaN passes every minimum
+_INT = lambda v: type(v) is int and -2**63 <= v < 2**63
+_NUM = lambda v: _INT(v) or (type(v) is float and math.isfinite(v))
+_BOOL, _STR = _is(bool), _is(str)
 _NUMS = _list_of(_NUM)
 
 
@@ -70,7 +74,7 @@ def _checked(spec, table: dict, where: str) -> dict:
                 if callable(alt) and alt(value):
                     break
             else:
-                raise DataError(f"{name} has the wrong type: {value!r}")
+                raise DataError(f"{name} has the wrong type or is out of range: {value!r}")
             if low is not None and min(value if type(value) is list else [value]) < low:
                 raise DataError(f"{name} must be >= {low}, got {value!r}")
         out[key] = value
@@ -202,8 +206,7 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     # the oracle distance combines the fixed-point tolerance with the
     # quadrature error of the convolution
     ok = max(errs) <= params["oracle_tol"]
-    return {"status": traj.status, "max_oracle_error": max(errs),
-            "n_points": int(traj.grid.size), "pass": bool(ok)}
+    return {**traj.to_json(), "max_oracle_error": max(errs), "pass": bool(ok)}
 
 
 def _build_fp(params: dict) -> fp.FPModel:

@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all isslab modules."""
 
+__all__ = ["IsslabError", "DomainError", "DataError", "NumericError", "ContractError",
+           "UnsupportedError"]
+
 
 class IsslabError(Exception):
     """Base class for all errors raised by isslab."""

@@ -27,7 +27,7 @@ consistent with the weighted inner product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -48,6 +48,7 @@ __all__ = [
     "discrete_stationary_density",
     "step",
     "project_P",
+    "l2_norm",
     "spectral_gap",
     "simulate",
     "fit_gain_constant",
@@ -64,7 +65,7 @@ class DensityField:
 
     x: np.ndarray
     values: np.ndarray
-    mass: float = 0.0
+    mass: float = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -159,8 +160,12 @@ def stationary_density(m: FPModel) -> DensityField:
     This is the continuum equilibrium; its discrete residual ||A rho|| is
     O(h^2).  The exact kernel of the discrete operator is
     discrete_stationary_density."""
-    v = np.exp(-m.W / m.nu)
-    v /= np.trapezoid(v, m.grid)
+    with np.errstate(over="ignore"):
+        v = np.exp(-m.W / m.nu)
+        total = np.trapezoid(v, m.grid)
+    if not 0.0 < total < math.inf:
+        raise NumericError("stationary_density: e^{-W/nu} over- or underflows; raise nu")
+    v /= total
     return DensityField(m.grid, v)
 
 
@@ -247,14 +252,19 @@ def spectral_gap(m: FPModel) -> dict:
     the angle between the computed kernel vector and the predicted e^{-Phi/2}.
     """
     phi_vec = math.log(m.nu) + m.W / m.nu
-    mvec = np.exp(0.5 * phi_vec)
     dsq = np.sqrt(m.weights)
-    left, right = dsq * mvec, 1.0 / (dsq * mvec)
     bands = m.A.data
-    diag = left * bands[1] * right
-    upper = left[:-1] * bands[0, 1:] * right[1:]
-    lower = left[1:] * bands[2, :-1] * right[:-1]
-    norm2 = np.sum(diag**2) + np.sum(upper**2) + np.sum(lower**2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mvec = np.exp(0.5 * phi_vec)
+        left, right = dsq * mvec, 1.0 / (dsq * mvec)
+        diag = left * bands[1] * right
+        upper = left[:-1] * bands[0, 1:] * right[1:]
+        lower = left[1:] * bands[2, :-1] * right[:-1]
+        norm2 = np.sum(diag**2) + np.sum(upper**2) + np.sum(lower**2)
+        e0_pred = dsq * np.exp(-0.5 * phi_vec)
+        e0_pred /= np.linalg.norm(e0_pred)
+    if not (math.isfinite(norm2) and np.all(np.isfinite(e0_pred))):
+        raise NumericError("spectral_gap: e^{Phi/2} over- or underflows; nu or |W|/nu too large")
     defect = math.sqrt(2.0 * np.sum((upper - lower) ** 2) / norm2)
     n = diag.size
     vals, vecs = eigh_tridiagonal(
@@ -264,8 +274,6 @@ def spectral_gap(m: FPModel) -> dict:
     omega = float(abs(vals[-2]))
     if omega <= 0:
         raise NumericError("spectral_gap: degenerate spectrum")
-    e0_pred = dsq * np.exp(-0.5 * phi_vec)
-    e0_pred /= np.linalg.norm(e0_pred)
     cosang = abs(float(np.dot(vecs[:, -1], e0_pred)))
     return {
         "omega": omega,
@@ -287,19 +295,20 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     round-off in T/dt) that end at T.  Deviations are measured against the
     exact discrete kernel so that the zero-input equilibrium run reads as
     identically zero."""
-    if T <= 0 or dt <= 0:
-        raise DomainError("T and dt must be > 0")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise DomainError(f"T and dt must be finite and > 0, got T={T}, dt={dt}")
     if u is not None and u.d != 1:
         raise DomainError(f"the control u must be scalar, got {u.d} components")
     if rho0.values.size != m.J + 1:
         raise DataError(f"density has {rho0.values.size} nodes, the model {m.J + 1}")
     rho_inf = discrete_stationary_density(m).values
-    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    try:  # more steps than numpy can allocate
+        n_steps = max(1, math.ceil(T / dt - 1e-9))
+        times, (devs, masses) = np.linspace(0.0, T, n_steps + 1), np.empty((2, n_steps + 1))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise DomainError(f"T/dt = {T / dt:.3g} steps do not fit in memory") from exc
     dt = T / n_steps
-    times = np.linspace(0.0, T, n_steps + 1)
     controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0] if u is not None else np.zeros(n_steps)
-    devs = np.empty(n_steps + 1)
-    masses = np.empty(n_steps + 1)
     rows = np.empty((_BLOCK_ROWS, m.J + 1))  # state i is row i % _BLOCK_ROWS
     rows[0] = v = rho0.values
     u_factored = None

@@ -216,12 +216,11 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
             break
 
     traj = Trajectory(np.concatenate(grids), np.concatenate(states))
-    over = traj.norms > blowup_threshold
-    if not np.any(over):
+    t_blowup = detect_blowup(traj, blowup_threshold)
+    if t_blowup is None:
         return traj
-    i = int(np.argmax(over))
-    return Trajectory(traj.grid[: i + 1], traj.states[: i + 1],
-                      status="blowup", t_blowup=float(traj.grid[i]))
+    keep = traj.grid <= t_blowup
+    return Trajectory(traj.grid[keep], traj.states[keep], status="blowup", t_blowup=t_blowup)
 
 
 def detect_blowup(traj: Trajectory, threshold: float) -> float | None:

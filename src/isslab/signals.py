@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, NumericError
+from .errors import DataError, DomainError
 
 __all__ = [
-    "Interval", "Signal", "restrict", "exp_weight", "random_signal", "lp_norm",
+    "Interval", "Signal", "restrict", "random_signal", "lp_norm",
     "write_csv", "read_csv",
 ]
 
@@ -178,20 +178,6 @@ def restrict(u: Signal, iv: Interval) -> Signal:
     grid[0] = t0
     grid[-1] = t1
     return Signal(grid, u.values[lo:hi])
-
-
-def exp_weight(u: Signal, rate: float) -> Signal:
-    """Scale each cell value by exp(rate * cell midpoint).
-
-    This is the midpoint-rule surrogate of multiplying by the continuous
-    weight e^{rate*t}; the induced error is second order in the cell width.
-    """
-    if rate == 0.0:
-        return u
-    mids = 0.5 * (u.grid[:-1] + u.grid[1:])
-    if np.max(np.abs(rate * u.grid)) > _EXP_OVERFLOW:
-        raise NumericError("exp_weight: |rate * t| exceeds overflow guard")
-    return Signal(u.grid, u.values * np.exp(rate * mids)[:, None])
 
 
 def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float) -> Signal:

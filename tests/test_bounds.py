@@ -12,13 +12,11 @@ from isslab.bounds import (
     gamma2,
     gamma_fp,
     iss_rhs,
-    iss_rhs_timevarying,
-    linf_bound_constant,
 )
 from isslab.errors import ContractError, DomainError, NumericError
 from isslab.mild_solver import Trajectory
 from isslab.orlicz import YoungFunction, luxemburg_norm
-from isslab.signals import Interval, Signal, exp_weight, lp_norm, random_signal
+from isslab.signals import Interval, Signal, random_signal
 
 P2 = YoungFunction.power(2)
 
@@ -130,51 +128,10 @@ def test_iss_rhs_input_must_start_at_zero():
     u = Signal.constant(0.3, Interval(0.5, 2.0))
     # t = 0 has no input term; any t > 0 measures u on [0, t]
     assert iss_rhs(p, 0.8, u, None, P2, P2, 0.0) == beta(p, 0.8, 0.0)
-    assert iss_rhs_timevarying(p, 0.8, u, None, P2, P2, 0.0) == beta(p, 0.8, 0.0)
     with pytest.raises(DomainError):
         iss_rhs(p, 0.8, u, None, P2, P2, 1.0)
     with pytest.raises(DomainError):
         iss_rhs(p, 0.8, None, u, P2, P2, np.array([0.0, 1.0]))
-    with pytest.raises(DomainError):
-        iss_rhs_timevarying(p, 0.8, u, None, P2, P2, 1.0)
-
-
-def test_iss_rhs_timevarying():
-    p = bp(omega=1.0)
-    u1 = Signal.constant(0.3, Interval(0.0, 2.0))
-    # no additive input: both forms coincide
-    assert iss_rhs_timevarying(p, 1.0, u1, None, P2, P2, 2.0) == pytest.approx(
-        iss_rhs(p, 1.0, u1, None, P2, P2, 2.0)
-    )
-    assert iss_rhs_timevarying(p, 1.0, None, None, P2, P2, 0.0) == pytest.approx(
-        beta(p, 1.0, 0.0)
-    )
-    # for positive decay rates the weight e^{(w/2)(s-t)} <= 1 on [0, t],
-    # so the weighted additive term never exceeds the plain one
-    u2 = Signal.constant(1.0, Interval(0.0, 2.0))
-    tv = iss_rhs_timevarying(p, 0.0, None, u2, P2, P2, 2.0)
-    plain = gamma2(p.C_B2 * luxemburg_norm(P2, u2, Interval(0.0, 2.0)))
-    assert 0.0 < tv <= plain + 1e-10
-
-
-def test_linf_bound_constant():
-    assert linf_bound_constant(P2, 2.0) == pytest.approx(1.0)
-    assert linf_bound_constant(P2, 0.001) == pytest.approx(2000.0)
-    with pytest.raises(DomainError):
-        linf_bound_constant(P2, 0.0)
-
-
-def test_linf_bound_inequality_sweep():
-    # e^{-(w/2)t} ||e^{(w/2)s} u||_{E_Psi(0,t)} <= C ||u||_{L_inf}
-    omega = 2.0
-    C = linf_bound_constant(P2, omega)
-    t = 3.0
-    for seed in range(50):
-        u = random_signal(seed, 1, Interval(0.0, t), 10, 2.0)
-        lhs = math.exp(-omega * t / 2) * luxemburg_norm(
-            P2, exp_weight(u, omega / 2), Interval(0.0, t)
-        )
-        assert lhs <= C * lp_norm(u, math.inf) * (1 + 1e-9) + 1e-12
 
 
 def test_audit_pass_fail_and_report():

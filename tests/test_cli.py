@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
 import os
 import subprocess
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isslab
-from isslab import diagonal
+from isslab import cli, diagonal
 from isslab.cli import main
+from isslab.mild_solver import solve_mild
 
 
 def write_config(tmp_path, name, cfg):
@@ -93,6 +95,20 @@ def test_simulate_diagonal_artifacts(tmp_path):
     assert (out / "trajectory.csv").exists()
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header == "t,norm,oracle_error"
+
+
+def test_simulate_diagonal_blowup_summary(tmp_path, monkeypatch):
+    # u1 = 5 makes the modes grow like e^{8t}; a threshold of 10 cuts the run short
+    monkeypatch.setattr(cli, "solve_mild", functools.partial(solve_mild, blowup_threshold=10.0))
+    cfg = write_config(tmp_path, "c.json", {"command": "simulate-diagonal", "params": {
+        "N": 2, "T": 1.0, "u1": {"t0": 0, "t1": 1.0, "constant": 5.0}}})
+    out = tmp_path / "run"
+    main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    summary = json.loads((out / "summary.json").read_text())
+    last_t = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0]
+    assert summary["status"] == "blowup"
+    assert summary["t_blowup"] == float(last_t)
+    assert summary["n_points"] == len((out / "trajectory.csv").read_text().splitlines()) - 1
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -437,7 +453,8 @@ def test_fuzz_base_config_exits_0(command):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(_TARGETS),
-       st.sampled_from(["x", True, None, -1, -2.5, [], {}, _DELETE, _ADD_KEY]))
+       st.sampled_from(["x", True, None, -1, -2.5, math.nan, math.inf, -math.inf, 2**70,
+                        [], {}, _DELETE, _ADD_KEY]))
 def test_mutated_config_exits_0_2_or_3(target, mutation):
     # exit 1 means a check failed; a config must never cause it or a traceback
     command, path = target
@@ -473,12 +490,38 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("simulate-fp", {"rho0_modes": "ab"}),
     ("simulate-fp", {"u": {"t0": 0, "t1": 0.01, "constant": [1, 2]}}),
     ("simulate-fp", {"J": -5}),
+    # numbers must be finite doubles or int64 integers
+    ("simulate-fp", {"T": math.nan}),
+    ("simulate-fp", {"dt": math.nan}),
+    ("simulate-fp", {"T": math.inf}),
+    ("simulate-diagonal", {"T": math.nan}),
+    ("audit-iss", {"omega": math.nan}),
+    ("orlicz-norm", {"signal": {**_SIGNAL, "cells": 2**70}}),
+    ("orlicz-norm", {"signal": {**_SIGNAL, "t1": 2**70}}),
+    ("orlicz-norm", {"signal": {**_SIGNAL, "amplitude": 10**400}}),
+    # finite, but more time steps than numpy can allocate
+    ("simulate-fp", {"T": 1e300, "u": {"t0": 0, "t1": 1e300, "constant": 0.5}}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}
     code, err = _run_quietly(config)
     assert code == 2, err
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("command, change", [
+    ("fp-gap", {"nu": 1e300}),
+    ("fp-gap", {"nu": 1e-4, "W": {"expr": "cos(2*pi*x)/2"}}),
+    ("fp-gap", {"W": {"expr": "1e6*x"}}),
+    ("simulate-fp", {"nu": 1e-4}),
+])
+def test_overflowing_fp_model_exits_3(command, change):
+    # e^{Phi/2} or e^{-W/nu} overflows: a numeric failure, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _run_quietly({"command": command, "params": {**_VALID[command], **change}})
+    assert code == 3, err
+    assert json.loads(err)["error"] == "numeric"
 
 
 def test_summary_echoes_params_as_given(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,28 @@ def test_build_model_rejects_non_finite_fields():
     alpha[30] = np.nan
     with pytest.raises(DataError):
         fp.build_model(1.0, np.zeros(65), alpha, 64)
+
+
+def test_overflowing_model_raises_numeric_error():
+    # e^{Phi/2} in spectral_gap and e^{-W/nu} in stationary_density over-
+    # or underflow; each is a NumericError, with no warning
+    x = np.linspace(0.0, 1.0, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu, W in ((1e300, 0 * x), (1e-4, np.cos(2 * np.pi * x) / 2), (1.0, 1e6 * x),
+                      (1.0, 1e6 + 0 * x), (1.0, 1000 + np.cos(2 * np.pi * x) / 2)):
+            with pytest.raises(NumericError, match="spectral_gap"):
+                fp.spectral_gap(fp.build_model(nu, W, np.zeros(65), 64))
+        for nu, W in ((1e-4, np.cos(2 * np.pi * x) / 2), (1.0, 1e6 + 0 * x)):
+            with pytest.raises(NumericError, match="stationary_density"):
+                fp.stationary_density(fp.build_model(nu, W, np.zeros(65), 64))
+
+
+def test_density_field_mass_is_computed_not_given():
+    x = np.linspace(0.0, 1.0, 5)
+    assert fp.DensityField(x, np.ones(5)).mass == 1.0
+    with pytest.raises(TypeError):
+        fp.DensityField(x, np.ones(5), mass=5.0)
 
 
 def test_operator_mass_identities(fp_bench):
@@ -243,6 +266,34 @@ def test_step_and_simulate_reject_wrong_length_density(fp_bench):
         fp.step(fp_bench, short, 0.0, 1e-3)
     with pytest.raises(DataError):
         fp.simulate(fp_bench, short, None, 0.1, 1e-3)
+
+
+def test_simulate_rejects_non_finite_or_unallocatable_steps(fp_bench):
+    rho = fp.stationary_density(fp_bench)
+    for T, dt in ((math.nan, 1e-3), (0.1, math.nan), (math.inf, 1e-3), (0.1, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            fp.simulate(fp_bench, rho, None, T, dt)
+    # 5e302 steps, and T/dt overflowing to inf: numpy refuses such arrays
+    # before it allocates anything
+    for T, dt in ((1e300, 2e-3), (1e300, 1e-300)):
+        with pytest.raises(DomainError, match="memory"):
+            fp.simulate(fp_bench, rho, None, T, dt)
+
+
+@settings(deadline=None, max_examples=25)
+@given(J=st.integers(40, 64), nu=st.floats(0.2, 1.0), w_coeffs=_coeffs,
+       a_coeffs=_coeffs, seed=st.integers(0, 10_000), amplitude=st.floats(0.0, 2.0),
+       n_steps=st.integers(1, 80))
+def test_simulate_conserves_mass(J, nu, w_coeffs, a_coeffs, seed, amplitude, n_steps):
+    # |W'| <= 5 pi and J >= 40 keep |W_{i+1} - W_i|/2 below nu, as the
+    # discrete kernel that simulate measures deviations from needs
+    x = np.linspace(0.0, 1.0, J + 1)
+    alpha = fp.clamp_end_slopes(cosine_series(a_coeffs, x))
+    m = fp.build_model(nu, cosine_series(w_coeffs, x) / 2, alpha, J)
+    rho0 = fp.DensityField(x, fp.stationary_density(m).values + 0.3 * np.cos(np.pi * x))
+    u = random_signal(seed, 1, Interval(0.0, 0.1), 5, amplitude)
+    _, _, masses = fp.simulate(m, rho0, u, 0.1, 0.1 / n_steps)
+    assert np.max(np.abs(masses - rho0.mass)) <= 1e-9
 
 
 def test_simulate_rejects_vector_control(fp_bench):

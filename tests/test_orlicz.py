@@ -201,17 +201,42 @@ def test_luxemburg_matches_lp(p):
         )
 
 
+PREFIX_KINDS = [
+    YoungFunction.power(2),
+    YoungFunction.power(3.5),
+    YoungFunction.power_over_p(3),
+    YoungFunction.loglog(),
+    YoungFunction.identity(),
+    "tabulated",
+]
+
+
 @given(
+    kind=st.sampled_from([YoungFunction.power_over_p(2), *PREFIX_KINDS]),
     seed=st.integers(min_value=0, max_value=10_000),
     c=st.floats(min_value=0.01, max_value=100.0),
 )
 @settings(max_examples=30, deadline=None)
-def test_luxemburg_homogeneity_property(seed, c):
+def test_luxemburg_homogeneity_property(comp_loglog, kind, seed, c):
     u = random_signal(seed, 1, Interval(0.0, 1.0), 6, 1.0)
-    phi = YoungFunction.power_over_p(2)
+    phi = comp_loglog if kind == "tabulated" else kind
     base = luxemburg_norm(phi, u)
     scaled = Signal(u.grid, c * u.values)
     assert luxemburg_norm(phi, scaled) == pytest.approx(c * base, rel=1e-9, abs=1e-12)
+
+
+@given(
+    kind=st.sampled_from(PREFIX_KINDS),
+    seed=st.integers(min_value=0, max_value=10_000),
+    shrink=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=6, max_size=6),
+)
+@settings(max_examples=30, deadline=None)
+def test_luxemburg_monotonicity_property(comp_loglog, kind, seed, shrink):
+    # scaling some cells' values by factors in [0, 1] never raises the norm
+    phi = comp_loglog if kind == "tabulated" else kind
+    u = random_signal(seed, 2, Interval(0.0, 1.0), 6, 1.0)
+    smaller = Signal(u.grid, np.asarray(shrink)[:, None] * u.values)
+    assert luxemburg_norm(phi, smaller) <= luxemburg_norm(phi, u) * (1 + 1e-9) + 1e-12
 
 
 def _modular(phi, r, w, k):
@@ -247,16 +272,6 @@ def _luxemburg_one(phi, u, tol=1e-12):
         else:
             lo = mid
     return hi
-
-
-PREFIX_KINDS = [
-    YoungFunction.power(2),
-    YoungFunction.power(3.5),
-    YoungFunction.power_over_p(3),
-    YoungFunction.loglog(),
-    YoungFunction.identity(),
-    "tabulated",
-]
 
 
 @given(

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isslab.errors import DataError, DomainError, NumericError
+from isslab.errors import DataError, DomainError
 from isslab.orlicz import YoungFunction, luxemburg_norm
 from isslab.signals import (
     Interval,
     Signal,
-    exp_weight,
     lp_norm,
     random_signal,
     read_csv,
@@ -109,41 +108,6 @@ def test_restrict_norm_consistency():
     assert luxemburg_norm(phi, restrict(u, iv)) == pytest.approx(
         luxemburg_norm(phi, u, iv), rel=1e-10
     )
-
-
-def test_exp_weight_zero_rate_is_identity():
-    u = Signal.constant(1.0, Interval(0.0, 1.0))
-    assert exp_weight(u, 0.0) is u
-
-
-def test_exp_weight_midpoint_value():
-    u = Signal.constant(1.0, Interval(0.0, 1.0))
-    w = exp_weight(u, math.log(4.0))
-    assert w.values[0, 0] == pytest.approx(2.0, rel=1e-14)
-
-
-def test_exp_weight_composes_additively():
-    u = random_signal(5, 1, Interval(0.0, 3.0), 9, 2.0)
-    ab = exp_weight(exp_weight(u, 0.7), -0.3)
-    direct = exp_weight(u, 0.4)
-    assert np.allclose(ab.values, direct.values, rtol=1e-12)
-
-
-def test_exp_weight_overflow_guard():
-    u = Signal.constant(1.0, Interval(0.0, 1000.0))
-    with pytest.raises(NumericError):
-        exp_weight(u, 10.0)
-
-
-def test_exp_weight_norm_inequality():
-    # weighted-norm comparison: ||e^{(w/2) s} u|| <= e^{w t/2} ||u||
-    omega, t = 1.5, 2.0
-    phi = YoungFunction.power(2)
-    for seed in range(10):
-        u = random_signal(seed, 1, Interval(0.0, t), 8, 1.0)
-        lhs = luxemburg_norm(phi, exp_weight(u, omega / 2))
-        rhs = math.exp(omega * t / 2) * luxemburg_norm(phi, u)
-        assert lhs <= rhs * (1 + 1e-10)
 
 
 def test_random_signal_deterministic_and_bounded():
