@@ -157,15 +157,13 @@ def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
 def stationary_density(m: FPModel) -> DensityField:
     """Gibbs density e^{-W/nu}, trapezoid-normalized to mass 1.
 
-    This is the continuum equilibrium; its discrete residual ||A rho|| is
-    O(h^2).  The exact kernel of the discrete operator is
-    discrete_stationary_density."""
+    W is shifted by its minimum, so the samples lie in [0, 1], the largest
+    is 1 and the normalizer cannot over- or underflow.  This is the
+    continuum equilibrium; its discrete residual ||A rho|| is O(h^2).  The
+    exact kernel of the discrete operator is discrete_stationary_density."""
     with np.errstate(over="ignore"):
-        v = np.exp(-m.W / m.nu)
-        total = np.trapezoid(v, m.grid)
-    if not 0.0 < total < math.inf:
-        raise NumericError("stationary_density: e^{-W/nu} over- or underflows; raise nu")
-    v /= total
+        v = np.exp(-(m.W - np.min(m.W)) / m.nu)
+    v /= np.trapezoid(v, m.grid)
     return DensityField(m.grid, v)
 
 
@@ -245,16 +243,17 @@ def spectral_gap(m: FPModel) -> dict:
     """Spectral gap of the symmetrized generator.
 
     Similarity transform: S = D^{1/2} M A M^{-1} D^{-1/2} with
-    M = diag(e^{Phi/2}), Phi = ln(nu) + W/nu, and D the trapezoid weights;
+    M = diag(e^{Phi/2}), Phi = ln(nu) + (W - min W)/nu (a constant shift
+    leaves S unchanged), and D the trapezoid weights;
     the residual asymmetry of the tridiagonal S (reported as symmetry_defect)
     is averaged away before the top two eigenpairs are solved for.  Returns
     omega = |second largest eigenvalue|, the near-zero top eigenvalue, and
     the angle between the computed kernel vector and the predicted e^{-Phi/2}.
     """
-    phi_vec = math.log(m.nu) + m.W / m.nu
     dsq = np.sqrt(m.weights)
     bands = m.A.data
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi_vec = math.log(m.nu) + (m.W - np.min(m.W)) / m.nu
         mvec = np.exp(0.5 * phi_vec)
         left, right = dsq * mvec, 1.0 / (dsq * mvec)
         diag = left * bands[1] * right

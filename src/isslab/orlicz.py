@@ -5,10 +5,11 @@ and -> infinity at infinity.  The identity kind is the explicit L^1
 convention and is exempt from the growth conditions.  The Luxemburg norm of
 a piecewise-constant signal is computed exactly: the defining integral is a
 finite sum of rectangle terms and the map k -> int Phi(|u|/k) is monotone
-decreasing, so bracketing plus bisection is globally convergent.  The power
-kinds skip it: their norm is p^{-1/p} (s^p/p) or 1 (s^p) times the L^p
-norm, a closed form that no tolerance affects.  One batched kernel serves
-many cell-width rows; the single norm and the audit's prefix norms call it.
+decreasing, so bracketing plus bisection (the loglog kind) is globally
+convergent.  The power kinds' norm is p^{-1/p} (s^p/p) or 1 (s^p) times the
+L^p norm; a tabulated Phi makes the modular piecewise linear in 1/k, whose
+root Newton finds exactly.  No tolerance affects either.  One batched kernel
+serves the single norm and the audit's prefix norms.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -47,8 +48,10 @@ _LEGENDRE_KNOTS = 512
 _VALUE_CAP = 1e250
 # knots per (knots x grid) temporary in the batched Legendre grid search
 _LEGENDRE_CHUNK = 32
-# upward ulp steps that bring a closed-form power norm to the feasible side
+# upward ulp steps that bring a closed-form or Newton norm to the feasible side
 _NUDGE_CAP = 64
+# Newton sweeps on a tabulated modular before its rows fall back to bisection
+_NEWTON_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,9 @@ class YoungFunction:
                 raise DataError("tabulated knots must have strictly increasing s")
             if np.any(knots < 0) or not np.all(np.isfinite(knots)):
                 raise DataError("tabulated knots must be finite and nonnegative")
+            # not checked for convexity: Legendre tables have round-off dips
+            if np.any(np.diff(knots[:, 1]) < 0):
+                raise DataError("tabulated knot values must be nondecreasing")
             object.__setattr__(self, "knots", knots)
             object.__setattr__(self, "_knot_values", tuple(knots.ravel().tolist()))
             ks, kv = knots[:, 0], knots[:, 1]
@@ -253,10 +259,12 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
     widths W; a zero width leaves the cell out of its row.
 
     Power kinds take the closed form m (sum w (r/m)^p [/p])^{1/p}, m the
-    row's largest live r, stepped up by ulps to the feasible side.  Other rows
-    halve or double k from max r until the modular crosses 1, then bisect to
-    their own stopping test hi - lo <= tol*(1+hi) and return hi, the feasible
-    side.  No row under-reports its norm; a norm below 1e-300 is 0.
+    row's largest live r.  Other rows halve or double k from max r until the
+    modular crosses 1; tabulated rows then run _newton.  Closed-form and
+    Newton norms are stepped up by ulps to the feasible side.  The loglog
+    rows bisect until hi - lo <= max(tol*(1+hi), 2 ulps), the tabulated rows
+    Newton cannot finish until 2 ulps; both return hi, the feasible side.
+    No row under-reports its norm; a norm below 1e-300 is 0.
     """
     if tol <= 0:
         raise DomainError("tol must be > 0")
@@ -275,71 +283,104 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
         terms = w * np.where(np.isfinite(vals), vals, np.inf)
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    zero = np.zeros(rows.size, dtype=bool)
+    bisect = np.full(rows.size, phi.kind == "loglog")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if phi.kind in ("power", "power_over_p"):
             mod = np.add.reduce(W * phi._eval(r / k[:, None]), axis=1, where=live)
             # below m DBL_MAX^{-1/p} the modular overflows: no k there is feasible
-            hi = np.maximum(k * mod ** (1.0 / phi.p), k * np.finfo(float).max ** (-1.0 / phi.p))
-            for _ in range(_NUDGE_CAP):
-                short = ~feasible(W, live, hi)
-                if not short.any():
+            floor = k * np.finfo(float).max ** (-1.0 / phi.p)
+            hi = np.maximum(k * mod ** (1.0 / phi.p), floor)
+            # mod**(1/p) errs by |ln mod| times the rounding of 1/p: a root of
+            # the modular at hi, which is near 1, makes hi exact
+            c = np.add.reduce(W * phi._eval(r / hi[:, None]), axis=1, where=live)
+            lo = hi = np.where((c > 0) & (c < np.inf), np.maximum(hi * c ** (1.0 / phi.p), floor), hi)
+        else:
+            # bracket the unique crossing of the modular through 1; a row that
+            # is infeasible at k doubles upward, a feasible one halves downward
+            up = ~feasible(W, live, k)
+            lo, hi = np.where(up, k, k / 2.0), np.where(up, k * 2.0, k)
+            sel = np.arange(rows.size)
+            for step in range(2400):
+                if sel.size == 0:
                     break
-                hi[short] = np.nextafter(hi[short], np.inf)
+                # the bracket is found once feasibility flips from its start
+                probe = np.where(up[sel], hi[sel], lo[sel])
+                sel = sel[feasible(W[sel], live[sel], probe) != up[sel]]
+                u = up[sel]
+                lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
+                                    np.where(u, hi[sel] * 2.0, lo[sel]))
+                if np.any(hi[sel][u] > 1e290) or (step == 1199 and np.any(u)):
+                    raise NumericError("luxemburg_norm: upper bracket not found")
+                zero[sel[~u & (lo[sel] < 1e-300)]] = True
+                sel = sel[~zero[sel]]
             else:
-                raise NumericError("luxemburg_norm: closed form not feasible")
-            out[rows] = np.where(hi < 1e-300, 0.0, hi)
-            return out
-        # bracket the unique crossing of the modular through 1; a row that
-        # is infeasible at k doubles upward, a feasible one halves downward
-        up = ~feasible(W, live, k)
-        lo = np.where(up, k, k / 2.0)
-        hi = np.where(up, k * 2.0, k)
-        zero = np.zeros(rows.size, dtype=bool)
-        sel = np.arange(rows.size)
-        for step in range(2400):
+                if sel.size:
+                    raise NumericError("luxemburg_norm: lower bracket not found")
+        if phi.kind == "tabulated":
+            hi, bisect = _newton(phi, r, W, live, lo, hi, zero)
+        # step the closed-form and Newton norms up by ulps to the feasible side
+        sel = np.flatnonzero(~bisect & ~zero)
+        for _ in range(_NUDGE_CAP):
+            sel = sel[~feasible(W[sel], live[sel], hi[sel])]
             if sel.size == 0:
                 break
-            u = up[sel]
-            if step == 1200 and np.any(u):
-                raise NumericError("luxemburg_norm: upper bracket not found")
-            # the bracket is found once feasibility flips from its start
-            probe = np.where(u, hi[sel], lo[sel])
-            sel = sel[feasible(W[sel], live[sel], probe) != u]
-            u = up[sel]
-            lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
-                                np.where(u, hi[sel] * 2.0, lo[sel]))
-            if np.any(hi[sel][u] > 1e290):
-                raise NumericError("luxemburg_norm: upper bracket not found")
-            zero[sel[~u & (lo[sel] < 1e-300)]] = True
-            sel = sel[~zero[sel]]
+            hi[sel] = np.nextafter(hi[sel], np.inf)
         else:
-            if sel.size:
-                raise NumericError("luxemburg_norm: lower bracket not found")
+            raise NumericError("luxemburg_norm: norm not feasible")
 
-        # bisect the rows still above tolerance on compact copies
-        sel = np.flatnonzero(~zero & (hi - lo > tol * (1.0 + hi)))
+        # bisect on compact copies to tol (2 ulps for Newton's leftovers)
+        rtol = tol if phi.kind == "loglog" else 0.0
+        sel = np.flatnonzero(bisect & ~zero & (hi - lo > np.maximum(rtol * (1.0 + hi), 2.0 * np.spacing(hi))))
         lo_s, hi_s, w, mask = lo[sel], hi[sel], W[sel], live[sel]
         while sel.size:
             mid = 0.5 * (lo_s + hi_s)
             ok = feasible(w, mask, mid)
-            hi_s = np.where(ok, mid, hi_s)
-            lo_s = np.where(ok, lo_s, mid)
-            going = hi_s - lo_s > tol * (1.0 + hi_s)
+            hi_s, lo_s = np.where(ok, mid, hi_s), np.where(ok, lo_s, mid)
+            going = hi_s - lo_s > np.maximum(rtol * (1.0 + hi_s), 2.0 * np.spacing(hi_s))
             if not going.all():
                 hi[sel] = hi_s
                 sel, lo_s, hi_s = sel[going], lo_s[going], hi_s[going]
                 w, mask = w[going], mask[going]
-    out[rows] = np.where(zero, 0.0, hi)
+    out[rows] = np.where(zero | (hi < 1e-300), 0.0, hi)
     return out
+
+
+def _newton(phi, r, W, live, lo, hi, zero):
+    """Newton on the convex, piecewise-linear M(lam) = sum w Phi(r lam),
+    lam = 1/k, from lam = 1/lo with left slopes: they are subgradients, so
+    lam falls and the step from the root's piece lands on the root.  Returns
+    hi with k = 1/lam in each converged row, and the rows left to bisect."""
+    # index j = searchsorted(xp, s) names the piece xp[j-1] < s <= xp[j]
+    # (j = n past the last knot): its left end, value there and slope
+    slopes = np.append(np.diff(phi._fp) / np.diff(phi._xp), phi._slope)
+    x0, f0, g0 = (np.append(v[:1], v) for v in (phi._xp, phi._fp, slopes))
+    lam, lam_f, wr = 1.0 / lo, 1.0 / hi, W * r
+    run, bisect = ~zero, np.zeros(lo.size, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        s = r * lam[:, None]
+        j = np.searchsorted(phi._xp, s)
+        g = g0[j]
+        m = np.add.reduce(W * (f0[j] + g * (s - x0[j])), axis=1, where=live) - 1.0
+        nxt = lam - m / np.add.reduce(wr * g, axis=1, where=live)
+        ok = nxt >= lam_f  # false if not finite or past the feasible end
+        bisect |= run & ~ok
+        run &= ok & (nxt < lam)
+        if not run.any():
+            break
+        lam = np.where(run, nxt, lam)
+    else:  # Newton may visit every piece
+        bisect |= run
+    return np.where(zero | bisect, hi, 1.0 / lam), bisect
 
 
 def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
                    tol: float = 1e-12) -> float:
     """inf{k > 0 : int_iv Phi(|u(s)|/k) ds <= 1}, exact quadrature.
 
-    tol is the bisection tolerance.  The identity kind returns the L^1 norm
-    and the power kinds their closed form, exactly and whatever tol; the
-    a.e.-zero signal has norm 0.
+    tol is the loglog kind's bisection tolerance, 2 ulps at least.  The
+    identity kind returns the L^1 norm, the power kinds their closed form and
+    the tabulated kind its Newton root, exactly; a.e.-zero u has norm 0.
     """
     if iv is not None:
         u = restrict(u, iv)
@@ -350,7 +391,7 @@ def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
 
 def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
     """Luxemburg norms of u on every prefix [t0, t] of its domain [t0, t1],
-    one per t in ends, from one batched bisection.
+    one per t in ends, from one batched kernel call.
 
     Each value equals luxemburg_norm(phi, u, Interval(t0, t)) bit for bit;
     t = t0 gives 0.  The result has the shape of ends.
@@ -387,15 +428,13 @@ def dual_norm_lower_bound(phi: YoungFunction, u: Signal, iv: Interval,
         raise DomainError("budget must be >= 1")
     comp = complementary(phi)
     u = restrict(u, iv)
-    r = u.cell_norms()
-    w = u.widths
+    r, w = u.cell_norms(), u.widths
     if not np.any(r > 0):
         return 0.0
 
-    shapes = [r, np.ones_like(r)]
     rng = np.random.Generator(np.random.Philox(20514))
-    while len(shapes) < budget:
-        shapes.append(rng.uniform(0.0, 1.0, size=r.size))
+    shapes = [r, np.ones_like(r)] + [rng.uniform(0.0, 1.0, size=r.size)
+                                     for _ in range(budget - 2)]
     shapes = shapes[:budget]
 
     best = 0.0
@@ -411,8 +450,7 @@ def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
     """Both sides of the generalized Hoelder inequality
     int |u||v| <= 2 ||u||_{L_Phi} ||v||_{L_Phi~} on iv."""
     comp = complementary(phi)
-    ur = restrict(u, iv)
-    vr = restrict(v, iv)
+    ur, vr = restrict(u, iv), restrict(v, iv)
     cuts = np.union1d(ur.grid, vr.grid)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     wu = np.linalg.norm(ur.value_at(mids), axis=1)
@@ -445,9 +483,7 @@ def check_delta2(phi: YoungFunction, s0: float = 1.0,
     if s0 < 0:
         raise DomainError("s0 must be >= 0")
     if grid is None:
-        top = 1e6
-        if phi.kind == "tabulated":
-            top = min(top, phi.knots[-1, 0] / 2.0)
+        top = min(1e6, phi.knots[-1, 0] / 2.0) if phi.kind == "tabulated" else 1e6
         lo = max(s0, 1e-8)
         if top <= lo:
             raise DomainError("tabulated support too small for a Delta_2 grid")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isslab.errors import DomainError, UnsupportedError
+from isslab import orlicz
+from isslab.errors import DataError, DomainError, UnsupportedError
 from isslab.orlicz import (
     YoungFunction,
     check_delta2,
@@ -303,9 +304,10 @@ def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
             continue
         ur = restrict(u, Interval(0.0, t))
         assert norm == luxemburg_norm(phi, u, Interval(0.0, t))
-        if phi.kind in ("power", "power_over_p"):
-            # the closed form: feasible, no larger than the bisection (4 ulps
-            # allowed), and tight where the bisection stopped up to 1e-12 above
+        if phi.kind in ("power", "power_over_p", "tabulated"):
+            # the closed form or Newton root: feasible, no larger than the
+            # bisection (4 ulps allowed), and tight to 1e-13 relative where
+            # the bisection stopped up to 1e-12*(1+k) above
             ref = _luxemburg_one(phi, ur)
             assert norm <= ref + 4 * np.spacing(ref)
             if norm > 0:
@@ -315,6 +317,91 @@ def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
         if norm > 0 and phi.kind != "identity":
             # the feasible side: the norm never under-reports
             assert _modular(phi, ur.cell_norms(), ur.widths, norm) <= 1.0
+
+
+# Phi through (0, 0), (1, 1), (2, 4), (4, 16), with slope 6 above s = 4
+HAND_PHI = YoungFunction.tabulated([[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]])
+
+
+@pytest.mark.parametrize("grid, values, exact", [
+    ([0.0, 1.0], [0.3], 0.3),  # Phi(c/k) = 1 on [0, 1]: k = c
+    ([0.0, 1.0], [7.5], 7.5),
+    ([0.0, 0.5, 1.0], [3.0, 1.0], 2.5),  # (Phi(3/k) + Phi(1/k))/2 = 1, 3/k in (1, 2)
+    ([0.0, 0.25, 1.0], [8.0, 1.0], 4.5),  # 8/k in (1, 2), 1/k in (0, 1)
+    ([0.0, 1.0 / 32.0], [20.0], 3.0),  # Phi(20/k) = 32 above the last knot
+])
+def test_tabulated_norm_is_exact(grid, values, exact):
+    u = Signal(np.array(grid), np.array(values).reshape(-1, 1))
+    norms = [luxemburg_norm(HAND_PHI, u, tol=tol) for tol in (1e-2, 1e-12)]
+    assert norms[0] == norms[1]
+    assert abs(norms[0] - exact) <= 4 * np.spacing(exact)
+
+
+@pytest.fixture(scope="module")
+def tables(comp_loglog):
+    return [complementary(YoungFunction.power(p)) for p in (1.1, 1.5, 7.0)] + [comp_loglog]
+
+
+@given(
+    kind=st.integers(min_value=0, max_value=3),
+    cells=st.lists(st.tuples(st.floats(min_value=-4.0, max_value=4.0),
+                             st.floats(min_value=-24.0, max_value=0.0)),
+                   min_size=1, max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_tabulated_norm_is_feasible_and_tight(tables, kind, cells):
+    # values from 1e-4 to 1e4 put some r/k below the first knot; widths down
+    # to 1e-24 put r/k above the last one.  Ascending widths keep the grid
+    # strictly increasing.
+    logv, logw = np.asarray(cells).T
+    grid = np.concatenate([[0.0], np.cumsum(np.sort(10.0**logw))])
+    u = Signal(grid, (10.0**logv).reshape(-1, 1))
+    phi = tables[kind]
+    norm = luxemburg_norm(phi, u)
+    r, w = u.cell_norms(), u.widths
+    assert _modular(phi, r, w, norm) <= 1.0
+    assert _modular(phi, r, w, (1 - 1e-13) * norm) > 1.0
+
+
+def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
+    # slope 2.4 up to s = 0.45, then 0.1: not convex.  The root s = 1/2.4
+    # (k = 2.4) lies in the steep piece and the bracket's infeasible end
+    # s = 1/2 in the shallow one, so Newton jumps past the feasible end and
+    # the row bisects to 2 ulps, whatever tol
+    phi = YoungFunction.tabulated([[0.45, 1.08], [3.0, 1.335]])
+    u = Signal.constant(1.0, Interval(0.0, 1.0))
+    norms = [luxemburg_norm(phi, u, tol=tol) for tol in (1e-2, 1e-12)]
+    assert norms[0] == norms[1] and 2.4 <= norms[0] <= 2.4 + 4 * np.spacing(2.4)
+    # rows still falling when the sweeps run out bisect as well
+    u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
+    newton = luxemburg_norm(comp_loglog, u)
+    monkeypatch.setattr(orlicz, "_NEWTON_CAP", 1)
+    assert abs(luxemburg_norm(comp_loglog, u, tol=1e-2) - newton) <= 4 * np.spacing(newton)
+
+
+def test_bisection_stops_at_two_ulps_below_tol():
+    # a tol finer than the float grid used to bisect forever
+    u = Signal.constant(1.0, Interval(0.0, 1.0))
+    phi = YoungFunction.loglog()
+    fine, default = luxemburg_norm(phi, u, tol=1e-20), luxemburg_norm(phi, u)
+    assert _modular(phi, u.cell_norms(), u.widths, fine) <= 1.0
+    assert abs(fine - default) <= 1e-12 * (1 + default)
+
+
+def test_tabulated_knot_values_must_not_decrease():
+    with pytest.raises(DataError, match="nondecreasing"):
+        YoungFunction.tabulated([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
+    # flat pieces are allowed, and so are slope decreases (no convexity check)
+    YoungFunction.tabulated([[1.0, 1.0], [2.0, 1.0], [3.0, 5.0], [4.0, 6.0]])
+
+
+@pytest.mark.parametrize("p, e", [(3.5, 1022), (3.0, 999), (3.0, -999), (7.0, 700)])
+def test_power_norm_is_exact_far_from_a_unit_modular(p, e):
+    # one cell of width 2^-e: the norm is 0.75 * 2^(-e/p) exactly, although
+    # (2^-e)^(1/p) errs by |ln 2^-e| times the rounding of 1/p
+    u = Signal(np.array([0.0, 2.0**-e]), np.array([[0.75]]))
+    exact = 0.75 * 2.0 ** (-e / p)
+    assert abs(luxemburg_norm(YoungFunction.power(p), u) - exact) <= np.spacing(exact)
 
 
 def test_power_norm_of_subnormal_width_cell():
