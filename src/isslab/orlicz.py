@@ -261,9 +261,10 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
     Power kinds take the closed form m (sum w (r/m)^p [/p])^{1/p}, m the
     row's largest live r.  Other rows halve or double k from max r until the
     modular crosses 1; tabulated rows then run _newton.  Closed-form and
-    Newton norms are stepped up by ulps to the feasible side.  The loglog
-    rows bisect until hi - lo <= max(tol*(1+hi), 2 ulps), the tabulated rows
-    Newton cannot finish until 2 ulps; both return hi, the feasible side.
+    Newton norms are stepped up by ulps to the feasible side, and Newton
+    norms down by ulps onto the smallest feasible float.  The loglog rows
+    bisect until hi - lo <= max(tol*(1+hi), 2 ulps), the tabulated rows
+    Newton or the ulp steps cannot finish until 2 ulps; both return hi.
     No row under-reports its norm; a norm below 1e-300 is 0.
     """
     if tol <= 0:
@@ -299,18 +300,22 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
             # bracket the unique crossing of the modular through 1; a row that
             # is infeasible at k doubles upward, a feasible one halves downward
             up = ~feasible(W, live, k)
-            lo, hi = np.where(up, k, k / 2.0), np.where(up, k * 2.0, k)
+            lo = np.where(up, k, k / 2.0)
+            hi = np.where(up, k * 2.0, k)
             sel = np.arange(rows.size)
             for step in range(2400):
                 if sel.size == 0:
                     break
+                u = up[sel]
+                if step == 1200 and np.any(u):
+                    raise NumericError("luxemburg_norm: upper bracket not found")
                 # the bracket is found once feasibility flips from its start
-                probe = np.where(up[sel], hi[sel], lo[sel])
-                sel = sel[feasible(W[sel], live[sel], probe) != up[sel]]
+                probe = np.where(u, hi[sel], lo[sel])
+                sel = sel[feasible(W[sel], live[sel], probe) != u]
                 u = up[sel]
                 lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
                                     np.where(u, hi[sel] * 2.0, lo[sel]))
-                if np.any(hi[sel][u] > 1e290) or (step == 1199 and np.any(u)):
+                if np.any(hi[sel][u] > 1e290):
                     raise NumericError("luxemburg_norm: upper bracket not found")
                 zero[sel[~u & (lo[sel] < 1e-300)]] = True
                 sel = sel[~zero[sel]]
@@ -321,13 +326,29 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
             hi, bisect = _newton(phi, r, W, live, lo, hi, zero)
         # step the closed-form and Newton norms up by ulps to the feasible side
         sel = np.flatnonzero(~bisect & ~zero)
+        stepped = np.zeros(rows.size, dtype=bool)
         for _ in range(_NUDGE_CAP):
             sel = sel[~feasible(W[sel], live[sel], hi[sel])]
             if sel.size == 0:
                 break
             hi[sel] = np.nextafter(hi[sel], np.inf)
+            stepped[sel] = True
         else:
             raise NumericError("luxemburg_norm: norm not feasible")
+        if phi.kind == "tabulated":
+            # a Newton root that was already feasible steps down while the
+            # float below it is feasible too; a row still going at the cap
+            # stopped past the root (knots that are not convex) and bisects
+            sel = np.flatnonzero(~bisect & ~zero & ~stepped)
+            for _ in range(_NUDGE_CAP):
+                below = np.nextafter(hi[sel], 0.0)
+                ok = feasible(W[sel], live[sel], below)
+                sel = sel[ok]
+                if sel.size == 0:
+                    break
+                hi[sel] = below[ok]
+            else:
+                bisect[sel] = True
 
         # bisect on compact copies to tol (2 ulps for Newton's leftovers)
         rtol = tol if phi.kind == "loglog" else 0.0
@@ -336,7 +357,8 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
         while sel.size:
             mid = 0.5 * (lo_s + hi_s)
             ok = feasible(w, mask, mid)
-            hi_s, lo_s = np.where(ok, mid, hi_s), np.where(ok, lo_s, mid)
+            hi_s = np.where(ok, mid, hi_s)
+            lo_s = np.where(ok, lo_s, mid)
             going = hi_s - lo_s > np.maximum(rtol * (1.0 + hi_s), 2.0 * np.spacing(hi_s))
             if not going.all():
                 hi[sel] = hi_s
@@ -428,13 +450,15 @@ def dual_norm_lower_bound(phi: YoungFunction, u: Signal, iv: Interval,
         raise DomainError("budget must be >= 1")
     comp = complementary(phi)
     u = restrict(u, iv)
-    r, w = u.cell_norms(), u.widths
+    r = u.cell_norms()
+    w = u.widths
     if not np.any(r > 0):
         return 0.0
 
+    shapes = [r, np.ones_like(r)]
     rng = np.random.Generator(np.random.Philox(20514))
-    shapes = [r, np.ones_like(r)] + [rng.uniform(0.0, 1.0, size=r.size)
-                                     for _ in range(budget - 2)]
+    while len(shapes) < budget:
+        shapes.append(rng.uniform(0.0, 1.0, size=r.size))
     shapes = shapes[:budget]
 
     best = 0.0
@@ -450,7 +474,8 @@ def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
     """Both sides of the generalized Hoelder inequality
     int |u||v| <= 2 ||u||_{L_Phi} ||v||_{L_Phi~} on iv."""
     comp = complementary(phi)
-    ur, vr = restrict(u, iv), restrict(v, iv)
+    ur = restrict(u, iv)
+    vr = restrict(v, iv)
     cuts = np.union1d(ur.grid, vr.grid)
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     wu = np.linalg.norm(ur.value_at(mids), axis=1)
@@ -483,7 +508,9 @@ def check_delta2(phi: YoungFunction, s0: float = 1.0,
     if s0 < 0:
         raise DomainError("s0 must be >= 0")
     if grid is None:
-        top = min(1e6, phi.knots[-1, 0] / 2.0) if phi.kind == "tabulated" else 1e6
+        top = 1e6
+        if phi.kind == "tabulated":
+            top = min(top, phi.knots[-1, 0] / 2.0)
         lo = max(s0, 1e-8)
         if top <= lo:
             raise DomainError("tabulated support too small for a Delta_2 grid")

@@ -335,6 +335,10 @@ def test_tabulated_norm_is_exact(grid, values, exact):
     norms = [luxemburg_norm(HAND_PHI, u, tol=tol) for tol in (1e-2, 1e-12)]
     assert norms[0] == norms[1]
     assert abs(norms[0] - exact) <= 4 * np.spacing(exact)
+    # the smallest feasible float: the one below it is infeasible
+    r, w = u.cell_norms(), u.widths
+    assert _modular(HAND_PHI, r, w, norms[0]) <= 1.0
+    assert _modular(HAND_PHI, r, w, np.nextafter(norms[0], 0.0)) > 1.0
 
 
 @pytest.fixture(scope="module")
@@ -368,10 +372,14 @@ def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
     # (k = 2.4) lies in the steep piece and the bracket's infeasible end
     # s = 1/2 in the shallow one, so Newton jumps past the feasible end and
     # the row bisects to 2 ulps, whatever tol
-    phi = YoungFunction.tabulated([[0.45, 1.08], [3.0, 1.335]])
     u = Signal.constant(1.0, Interval(0.0, 1.0))
-    norms = [luxemburg_norm(phi, u, tol=tol) for tol in (1e-2, 1e-12)]
-    assert norms[0] == norms[1] and 2.4 <= norms[0] <= 2.4 + 4 * np.spacing(2.4)
+    # with slope 0.5 above s = 0.45 the step lands at s = 0.29, past the root
+    # but not past the feasible end s = 1/4: Newton stops on a feasible k =
+    # 3.448, and the row bisects because the ulp steps down do not finish
+    for top in (1.335, 2.355):
+        phi = YoungFunction.tabulated([[0.45, 1.08], [3.0, top]])
+        norms = [luxemburg_norm(phi, u, tol=tol) for tol in (1e-2, 1e-12)]
+        assert norms[0] == norms[1] and 2.4 <= norms[0] <= 2.4 + 4 * np.spacing(2.4)
     # rows still falling when the sweeps run out bisect as well
     u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
     newton = luxemburg_norm(comp_loglog, u)
