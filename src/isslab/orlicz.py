@@ -324,31 +324,28 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
                     raise NumericError("luxemburg_norm: lower bracket not found")
         if phi.kind == "tabulated":
             hi, bisect = _newton(phi, r, W, live, lo, hi, zero)
-        # step the closed-form and Newton norms up by ulps to the feasible side
+        # walk the closed-form and Newton norms by ulps onto the feasible side.
+        # A tabulated norm feasible at once walks down while the float below
+        # it is feasible too; one still going at the cap stopped past the
+        # root (a Newton step on knots that are not convex) and bisects.
         sel = np.flatnonzero(~bisect & ~zero)
-        stepped = np.zeros(rows.size, dtype=bool)
+        down = np.full(sel.size, phi.kind == "tabulated")
         for _ in range(_NUDGE_CAP):
-            sel = sel[~feasible(W[sel], live[sel], hi[sel])]
+            both = np.concatenate((sel, sel[down]))
+            ok = feasible(W[both], live[both], np.concatenate(
+                (hi[sel], np.nextafter(hi[sel][down], 0.0))))
+            up = ~ok[:sel.size]
+            down[down] = ok[sel.size:]
+            down &= ~up
+            hi[sel[up]] = np.nextafter(hi[sel[up]], np.inf)
+            hi[sel[down]] = np.nextafter(hi[sel[down]], 0.0)
+            sel, down = sel[up | down], down[up | down]
             if sel.size == 0:
                 break
-            hi[sel] = np.nextafter(hi[sel], np.inf)
-            stepped[sel] = True
         else:
-            raise NumericError("luxemburg_norm: norm not feasible")
-        if phi.kind == "tabulated":
-            # a Newton root that was already feasible steps down while the
-            # float below it is feasible too; a row still going at the cap
-            # stopped past the root (knots that are not convex) and bisects
-            sel = np.flatnonzero(~bisect & ~zero & ~stepped)
-            for _ in range(_NUDGE_CAP):
-                below = np.nextafter(hi[sel], 0.0)
-                ok = feasible(W[sel], live[sel], below)
-                sel = sel[ok]
-                if sel.size == 0:
-                    break
-                hi[sel] = below[ok]
-            else:
-                bisect[sel] = True
+            if not down.all():
+                raise NumericError("luxemburg_norm: norm not feasible")
+            bisect[sel] = True
 
         # bisect on compact copies to tol (2 ulps for Newton's leftovers)
         rtol = tol if phi.kind == "loglog" else 0.0
