@@ -13,9 +13,10 @@ form with arithmetic-mean drift interpolation and half-cell boundary rows,
 so the trapezoid-weighted column sums vanish identically and time stepping
 conserves mass to round-off.  Both operators are stored only as their three
 bands (see FPModel).  Time integration is Crank-Nicolson with the control
-frozen per step, exact in time for piecewise-constant inputs: I - dt/2 (A +
-u B) is LU-factored (LAPACK gttrf) once per run of equal controls, each step
-is one gttrs solve, and simulate checks and reduces its states in blocks.
+frozen per step, exact in time for piecewise-constant inputs.  A step is
+(I - dt/2 L)^{-1} (I + dt/2 L) v = 2 (I - dt/2 L)^{-1} v - v, L = A + u B: one
+gttrs solve with the LU factors (gttrf) of 1/2 (I - dt/2 L), made once per run
+of equal controls, minus v.  simulate's block masses are weights^T v.
 
 The stationary density is the Gibbs kernel e^{-W/nu} (normalized); the
 decay rate toward it is the spectral gap of the generator symmetrized by
@@ -149,8 +150,11 @@ def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
         )
     weights = np.full(J + 1, h)
     weights[0] = weights[-1] = h / 2.0
-    A = _flux_operator(W, nu, h, weights)
-    B = _flux_operator(alpha, 0.0, h, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _flux_operator(W, nu, h, weights)
+        B = _flux_operator(alpha, 0.0, h, weights)
+    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
+        raise NumericError("operator bands overflow; reduce the increments of W or alpha")
     return FPModel(J=J, nu=nu, grid=grid, W=W, alpha=alpha, A=A, B=B, weights=weights)
 
 
@@ -192,26 +196,22 @@ def l2_norm(m: FPModel, v: np.ndarray) -> float:
 _BLOCK_ROWS = 32
 
 
-def _cn_factor(m: FPModel, u_cell: float, dt: float) -> tuple:
-    """Crank-Nicolson operators for the control u_cell: the three bands of
-    dt/2 (A + u_cell B) and the LU factors of I - dt/2 (A + u_cell B)."""
+def _cn_factor(m: FPModel, u_cell: float, dt: float) -> list:
+    """LU factors (LAPACK gttrf) of 1/2 (I - dt/2 (A + u_cell B)), the one
+    operator a Crank-Nicolson step needs (see the module docstring)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        half = 0.5 * dt * (m.A.data + u_cell * m.B.data)
-    if not np.all(np.isfinite(half)):
+        quarter = 0.25 * dt * (m.A.data + u_cell * m.B.data)
+    if not np.all(np.isfinite(quarter)):
         raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
-    *lu, info = dgttrf(-half[2, :-1], 1.0 - half[1], -half[0, 1:])
+    *lu, info = dgttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
     if info != 0:
         raise NumericError(f"Crank-Nicolson matrix is singular (gttrf info {info}); reduce dt")
-    return (half[0, 1:], half[1], half[2, :-1]), lu
+    return lu
 
 
-def _cn_solve(factor: tuple, v: np.ndarray) -> np.ndarray:
-    """Node values one Crank-Nicolson step after v, unchecked."""
-    (upper, diag, lower), lu = factor
-    rhs = v + diag * v  # (I + dt/2 (A + u B)) v, band by band
-    rhs[:-1] += upper * v[1:]
-    rhs[1:] += lower * v[:-1]
-    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+def _cn_solve(lu: list, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One unchecked Crank-Nicolson step after v: a gttrs solve minus v."""
+    return np.subtract(dgttrs(*lu, v)[0], v, out=out)
 
 
 def _finite(states: np.ndarray) -> np.ndarray:
@@ -314,13 +314,13 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for i, u_cell in enumerate(controls.tolist(), start=1):
             if u_cell != u_factored:
-                factor, u_factored = _cn_factor(m, u_cell, dt), u_cell
+                lu, u_factored = _cn_factor(m, u_cell, dt), u_cell
             r = i % _BLOCK_ROWS
-            rows[r] = v = _cn_solve(factor, v)
+            v = _cn_solve(lu, v, out=rows[r])
             if r == _BLOCK_ROWS - 1 or i == n_steps:
                 block = _finite(rows[:r + 1])
                 devs[i - r:i + 1] = np.sqrt(((block - rho_inf) ** 2) @ m.weights)
-                masses[i - r:i + 1] = np.trapezoid(block, m.grid, axis=1)
+                masses[i - r:i + 1] = block @ m.weights
     return times, devs, masses
 
 
@@ -354,16 +354,14 @@ def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> fl
         dev0 = devs[0]
         lo, hi = 0.0, 1.0
         for _ in range(200):
-            rhs = _rhs_curve(times, dev0, energies, hi, omega)
-            if np.all(devs <= rhs):
+            if np.all(devs <= _rhs_curve(times, dev0, energies, hi, omega)):
                 break
             hi *= 2.0
             if hi > 1e12:
                 raise NumericError("fit_gain_constant: no finite C fits the data")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            rhs = _rhs_curve(times, dev0, energies, mid, omega)
-            if np.all(devs <= rhs):
+            if np.all(devs <= _rhs_curve(times, dev0, energies, mid, omega)):
                 hi = mid
             else:
                 lo = mid

@@ -514,13 +514,17 @@ def test_malformed_param_exits_2(command, change):
     ("fp-gap", {"nu": 1e-4, "W": {"expr": "cos(2*pi*x)/2"}}),
     ("fp-gap", {"W": {"expr": "1e6*x"}}),
     ("simulate-fp", {"nu": 1e-4}),
+    # finite samples whose increments overflow the operator bands
+    ("fp-gap", {"J": 64, "W": {"expr": "1e308*(2*x-1)"}}),
 ])
 def test_overflowing_fp_model_exits_3(command, change):
-    # e^{Phi/2} or e^{-W/nu} overflows: a numeric failure, with no warning
+    # e^{Phi/2}, e^{-W/nu} or a band overflows: a numeric failure, reported
+    # as one JSON line with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, err = _run_quietly({"command": command, "params": {**_VALID[command], **change}})
     assert code == 3, err
+    assert len(err.splitlines()) == 1, err
     assert json.loads(err)["error"] == "numeric"
 
 

@@ -67,6 +67,30 @@ def test_banded_operators_match_dense_reference(J, nu, w_coeffs, a_coeffs, u, dt
     assert abs(after.mass - rho.mass) <= 1e-12
 
 
+@pytest.mark.parametrize("dt, u", [(1e-3, 0.7), (0.1, 3.0), (1.0, -2.0)])
+def test_stiff_step_matches_dense_reference(dt, u):
+    # the fp-long model at J = 512: dt/2 |A + u B| reaches about 1e5, where
+    # 2 (I - dt/2 L)^{-1} v - v cancels most of its leading digits
+    J = 512
+    x = np.linspace(0.0, 1.0, J + 1)
+    W, alpha = np.cos(2 * np.pi * x) / 2, fp.clamp_end_slopes(np.sin(np.pi * x))
+    m = fp.build_model(0.5, W, alpha, J)
+    rho = fp.DensityField(x, fp.stationary_density(m).values + 0.2 * np.cos(np.pi * x))
+    L = dense_flux_operator(W, 0.5, m.h) + u * dense_flux_operator(alpha, 0.0, m.h)
+    ref = dense_cn_step(L, rho.values, dt)
+    after = fp.step(m, rho, u, dt)
+    assert np.max(np.abs(after.values - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_step_and_simulate_leave_the_input_density_unchanged(fp_bench):
+    x = fp_bench.grid
+    rho = fp.DensityField(x, fp.stationary_density(fp_bench).values + 0.2 * np.cos(np.pi * x))
+    before = rho.values.copy()
+    fp.step(fp_bench, rho, 0.7, 1e-2)
+    fp.simulate(fp_bench, rho, Signal.constant(0.7, Interval(0.0, 0.1)), 0.1, 1e-3)
+    assert rho.values.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("J", [64, 128])
 def test_spectral_gap_matches_dense_eigh(J):
     nu = 0.5
@@ -105,6 +129,17 @@ def test_build_model_rejects_non_finite_fields():
     alpha[30] = np.nan
     with pytest.raises(DataError):
         fp.build_model(1.0, np.zeros(65), alpha, 64)
+
+
+def test_overflowing_operator_bands_raise_numeric_error():
+    # finite samples whose increments overflow: a NumericError, with no warning
+    x = np.linspace(0.0, 1.0, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for W, alpha in ((1e308 * (2 * x - 1), np.zeros(65)),
+                         (np.zeros(65), fp.clamp_end_slopes(1e308 * (2 * x - 1)))):
+            with pytest.raises(NumericError, match="bands overflow"):
+                fp.build_model(0.5, W, alpha, 64)
 
 
 def test_overflowing_model_raises_numeric_error():
