@@ -198,9 +198,8 @@ _BLOCK_ROWS = 32
 
 def _cn_factor(m: FPModel, u_cell: float, dt: float) -> list:
     """LU factors (LAPACK gttrf) of 1/2 (I - dt/2 (A + u_cell B)), the one
-    operator a Crank-Nicolson step needs (see the module docstring)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        quarter = 0.25 * dt * (m.A.data + u_cell * m.B.data)
+    operator a Crank-Nicolson step needs; callers hold np.errstate."""
+    quarter = 0.25 * dt * (m.A.data + u_cell * m.B.data)
     if not np.all(np.isfinite(quarter)):
         raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
     *lu, info = dgttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
@@ -354,14 +353,16 @@ def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> fl
         dev0 = devs[0]
         lo, hi = 0.0, 1.0
         for _ in range(200):
-            if np.all(devs <= _rhs_curve(times, dev0, energies, hi, omega)):
+            rhs = _rhs_curve(times, dev0, energies, hi, omega)
+            if np.all(devs <= rhs):
                 break
             hi *= 2.0
             if hi > 1e12:
                 raise NumericError("fit_gain_constant: no finite C fits the data")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if np.all(devs <= _rhs_curve(times, dev0, energies, mid, omega)):
+            rhs = _rhs_curve(times, dev0, energies, mid, omega)
+            if np.all(devs <= rhs):
                 hi = mid
             else:
                 lo = mid
