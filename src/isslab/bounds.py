@@ -18,7 +18,6 @@ bound point by point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -81,27 +80,6 @@ class AuditReport:
     worst_time: float
     n_points: int
     passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "max_violation": self.max_violation,
-            "min_slack_ratio": self.min_slack_ratio,
-            "worst_time": self.worst_time,
-            "n_points": self.n_points,
-            "pass": self.passed,
-        }
-
-    @staticmethod
-    def from_json(obj) -> "AuditReport":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return AuditReport(
-            max_violation=obj["max_violation"],
-            min_slack_ratio=obj["min_slack_ratio"],
-            worst_time=obj["worst_time"],
-            n_points=obj["n_points"],
-            passed=obj["pass"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +178,8 @@ def iss_rhs(p: BoundParams, x0_norm: float, u1: Signal | None, u2: Signal | None
 def audit(traj, rhs, tol: float = 1e-6) -> AuditReport:
     """Compare a trajectory's norms against a bound on the same grid.
 
-    rhs is either a callable t -> bound value or an array aligned with the
-    trajectory grid.  PASS means ||x(t)|| - rhs(t) <= tol*(1 + rhs(t)) at
-    every grid point.
+    rhs is an array of bound values, one per trajectory grid point.  PASS
+    means ||x(t)|| - rhs(t) <= tol*(1 + rhs(t)) at every grid point.
     """
     if tol < 0:
         raise DomainError("tol must be >= 0")
@@ -210,15 +187,12 @@ def audit(traj, rhs, tol: float = 1e-6) -> AuditReport:
     norms = np.asarray(traj.norms, dtype=float)
     if grid.size != norms.size or grid.size < 1:
         raise ContractError("trajectory grid and norms must align and be nonempty")
-    if callable(rhs):
-        rhs_vals = np.array([float(rhs(t)) for t in grid])
-    else:
-        rhs_vals = np.asarray(rhs, dtype=float)
-        if rhs_vals.size != grid.size:
-            raise ContractError(
-                f"bound values ({rhs_vals.size}) do not share the trajectory "
-                f"grid ({grid.size} points)"
-            )
+    rhs_vals = np.asarray(rhs, dtype=float)
+    if rhs_vals.size != grid.size:
+        raise ContractError(
+            f"bound values ({rhs_vals.size}) do not share the trajectory "
+            f"grid ({grid.size} points)"
+        )
     violations = norms - rhs_vals
     i = int(np.argmax(violations))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -94,7 +94,11 @@ def _parse_signal(spec: dict, seed_override: int | None = None) -> Signal:
     if spec["zero"]:
         return Signal.zero(iv, spec["d"])
     if spec["constant"] is not None:
-        return Signal.constant(spec["constant"], iv)
+        # a number fills all d components, a list gives one value per component
+        if type(spec["constant"]) is list and len(spec["constant"]) != spec["d"]:
+            raise DataError(f"a constant signal of d={spec['d']} needs {spec['d']} "
+                            f"values, got {len(spec['constant'])}")
+        return Signal.constant(spec["constant"], iv, spec["d"])
     seed = spec["seed"] if seed_override is None else seed_override
     for key, value in (("seed", seed), ("cells", spec["cells"]),
                        ("amplitude", spec["amplitude"])):

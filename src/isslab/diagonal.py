@@ -50,17 +50,12 @@ KN_CONSTANT = math.log(2.0) + math.log(2.0 * math.e)
 
 @dataclass(frozen=True)
 class DiagonalModel:
-    """Truncated diagonal bilinear system.
-
-    log_domain flags that downstream arithmetic should stay in
-    log-magnitudes because |lambda_n| spans too many orders of magnitude
-    for direct exponentiation.
-    """
+    """Truncated diagonal bilinear system: N modes with rates lam and
+    control coefficients mu, both finite arrays of length N."""
 
     N: int
     lam: np.ndarray
     mu: np.ndarray
-    log_domain: bool = False
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -81,7 +76,7 @@ def example3_model(N: int) -> DiagonalModel:
         raise DomainError(f"N must be in [1, 60], got {N}")
     n = np.arange(1, N + 1, dtype=float)
     pow2 = 2.0**n
-    return DiagonalModel(N, -pow2, pow2 / n, log_domain=N > 30)
+    return DiagonalModel(N, -pow2, pow2 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from scipy.sparse import dia_array
 from .bounds import AuditReport, audit, gamma_fp
 from .errors import ContractError, DataError, DomainError, NumericError
 from .mild_solver import Trajectory
-from .signals import Signal, read_csv, write_csv
+from .signals import Signal
 
 __all__ = [
     "FPModel",
@@ -48,14 +48,11 @@ __all__ = [
     "stationary_density",
     "discrete_stationary_density",
     "step",
-    "project_P",
     "l2_norm",
     "spectral_gap",
     "simulate",
     "fit_gain_constant",
     "run_fp_iss_experiment",
-    "density_to_csv",
-    "density_from_csv",
 ]
 
 
@@ -231,13 +228,6 @@ def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityFiel
     return DensityField(m.grid, _finite(new))
 
 
-def project_P(m: FPModel, y: DensityField) -> DensityField:
-    """Spectral projection y - (integral of y) * rho_inf onto the
-    mass-zero complement of the stationary density."""
-    rho_inf = stationary_density(m)
-    return DensityField(m.grid, y.values - y.mass * rho_inf.values)
-
-
 def spectral_gap(m: FPModel) -> dict:
     """Spectral gap of the symmetrized generator.
 
@@ -388,16 +378,3 @@ def run_fp_iss_experiment(m: FPModel, rho0: DensityField, u: Signal | None,
     traj = Trajectory(times, devs.reshape(-1, 1))
     return audit(traj, rhs, tol=tol)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def density_to_csv(rho: DensityField, path) -> None:
-    write_csv(path, ["x", "rho"], np.column_stack([rho.x, rho.values]).tolist())
-
-
-def density_from_csv(path) -> DensityField:
-    data = read_csv(path)
-    return DensityField(data[:, 0], data[:, 1])

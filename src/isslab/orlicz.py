@@ -17,7 +17,6 @@ tabulated Legendre transform otherwise (log grid, linear interpolation).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,14 +27,10 @@ from .signals import Interval, Signal, restrict
 
 __all__ = [
     "YoungFunction",
-    "eval_young",
     "legendre_transform",
     "complementary",
     "luxemburg_norm",
     "prefix_luxemburg_norms",
-    "dual_norm_lower_bound",
-    "check_delta2",
-    "Delta2Result",
     "holder_pair",
     "small_interval_norm",
 ]
@@ -148,28 +143,6 @@ class YoungFunction:
             out = np.where(top, self._fp[-1] + self._slope * (s - self._xp[-1]), out)
         return out
 
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.kind == "tabulated":
-            return {"kind": self.kind, "knots": self.knots.tolist()}
-        if self.p is not None:
-            return {"kind": self.kind, "p": self.p}
-        return {"kind": self.kind}
-
-    @staticmethod
-    def from_json(obj) -> "YoungFunction":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        if obj["kind"] == "tabulated":
-            return YoungFunction.tabulated(np.asarray(obj["knots"]))
-        return YoungFunction(obj["kind"], p=obj.get("p"))
-
-
-def eval_young(phi: YoungFunction, s) -> float:
-    """Evaluate Phi(s); negative s is a domain error."""
-    return phi(s)
-
 
 # ---------------------------------------------------------------------------
 # complementary functions
@@ -183,6 +156,8 @@ def legendre_transform(phi: YoungFunction, s):
     same shape).  The objective is concave in t for convex Phi, so the grid
     argmax brackets each maximizer and golden-section refinement converges;
     every element runs its own refinement and stops at its own tolerance.
+    The grid spans t in [1e-12, 1e290]; an element whose argmax is the
+    first grid point searches again on [1e-300, 1e-11] with a relative stop.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
@@ -190,41 +165,51 @@ def legendre_transform(phi: YoungFunction, s):
     out = np.zeros(s_arr.size)
     live = np.flatnonzero(s_arr.ravel() != 0.0)
     sv = s_arr.ravel()[live]
-    t = np.logspace(-12, 290, 3000)
-    i = np.empty(sv.size, dtype=np.intp)
-    best = np.empty(sv.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        pt = phi._eval(t)
-        for c0 in range(0, sv.size, _LEGENDRE_CHUNK):
-            g = sv[c0:c0 + _LEGENDRE_CHUNK, None] * t - pt
-            g = np.where(np.isfinite(g), g, -np.inf)
-            ic = np.argmax(g, axis=1)
-            i[c0:c0 + ic.size] = ic
-            best[c0:c0 + ic.size] = np.maximum(g[np.arange(ic.size), ic], 0.0)
-        a = t[np.maximum(i - 1, 0)]
-        b = t[np.minimum(i + 1, t.size - 1)]
-        invphi = (math.sqrt(5) - 1) / 2
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = sv * c - phi._eval(c)
-        fd = sv * d - phi._eval(d)
-        run = np.arange(sv.size)
-        for _ in range(200):
-            if run.size == 0:
-                break
-            left = fc[run] > fd[run]
-            j, k = run[left], run[~left]
-            b[j], d[j], fd[j] = d[j], c[j], fc[j]
-            c[j] = b[j] - invphi * (b[j] - a[j])
-            fc[j] = sv[j] * c[j] - phi._eval(c[j])
-            a[k], c[k], fc[k] = c[k], d[k], fd[k]
-            d[k] = a[k] + invphi * (b[k] - a[k])
-            fd[k] = sv[k] * d[k] - phi._eval(d[k])
-            run = run[b[run] - a[run] > 1e-14 * (1.0 + b[run])]
-    # fmax skips a NaN objective, as the scalar max() did
-    out[live] = np.fmax(np.fmax(np.fmax(best, fc), fd), 0.0)
+        vals, i = _legendre_search(phi, sv, np.logspace(-12, 290, 3000), 1.0)
+        low = np.flatnonzero(i == 0)
+        if low.size:
+            vals[low] = _legendre_search(phi, sv[low], np.logspace(-300, -11, 3000), 0.0)[0]
+    out[live] = vals
     out = out.reshape(s_arr.shape)
     return out if out.ndim else float(out)
+
+
+def _legendre_search(phi: YoungFunction, sv: np.ndarray, t: np.ndarray, floor: float):
+    """max over t >= 0 of sv*t - Phi(t), one per element of sv, and the grid
+    argmax index: golden section on the grid cells around the argmax until
+    b - a <= 1e-14 (floor + b).  The caller owns the floating-point state."""
+    i = np.empty(sv.size, dtype=np.intp)
+    best = np.empty(sv.size)
+    pt = phi._eval(t)
+    for c0 in range(0, sv.size, _LEGENDRE_CHUNK):
+        g = sv[c0:c0 + _LEGENDRE_CHUNK, None] * t - pt
+        g = np.where(np.isfinite(g), g, -np.inf)
+        ic = np.argmax(g, axis=1)
+        i[c0:c0 + ic.size] = ic
+        best[c0:c0 + ic.size] = np.maximum(g[np.arange(ic.size), ic], 0.0)
+    a = t[np.maximum(i - 1, 0)]
+    b = t[np.minimum(i + 1, t.size - 1)]
+    invphi = (math.sqrt(5) - 1) / 2
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = sv * c - phi._eval(c)
+    fd = sv * d - phi._eval(d)
+    run = np.arange(sv.size)
+    for _ in range(200):
+        if run.size == 0:
+            break
+        left = fc[run] > fd[run]
+        j, k = run[left], run[~left]
+        b[j], d[j], fd[j] = d[j], c[j], fc[j]
+        c[j] = b[j] - invphi * (b[j] - a[j])
+        fc[j] = sv[j] * c[j] - phi._eval(c[j])
+        a[k], c[k], fc[k] = c[k], d[k], fd[k]
+        d[k] = a[k] + invphi * (b[k] - a[k])
+        fd[k] = sv[k] * d[k] - phi._eval(d[k])
+        run = run[b[run] - a[run] > 1e-14 * (floor + b[run])]
+    # fmax skips a NaN objective, as the scalar max() did
+    return np.fmax(np.fmax(np.fmax(best, fc), fd), 0.0), i
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
@@ -430,41 +415,8 @@ def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -
 
 
 # ---------------------------------------------------------------------------
-# dual lower bound and Hoelder pairing
+# Hoelder pairing
 # ---------------------------------------------------------------------------
-
-
-def dual_norm_lower_bound(phi: YoungFunction, u: Signal, iv: Interval,
-                          budget: int = 8) -> float:
-    """Certified lower bound for the dual-formulation norm
-    sup{int |u| |v| : int Phi~(|v|) <= 1}.
-
-    Candidates v are piecewise-constant on u's grid: the shape of |u|, the
-    constant shape, and seeded random shapes; each is divided by its
-    complementary Luxemburg norm, which makes every candidate feasible.
-    """
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    comp = complementary(phi)
-    u = restrict(u, iv)
-    r = u.cell_norms()
-    w = u.widths
-    if not np.any(r > 0):
-        return 0.0
-
-    shapes = [r, np.ones_like(r)]
-    rng = np.random.Generator(np.random.Philox(20514))
-    while len(shapes) < budget:
-        shapes.append(rng.uniform(0.0, 1.0, size=r.size))
-    shapes = shapes[:budget]
-
-    best = 0.0
-    for v in shapes:
-        # v / ||v||_{L_Phi~} is feasible: the norm is the feasible side
-        norm = float(_luxemburg_rows(comp, v, w[None, :], 1e-13)[0])
-        if norm > 0:
-            best = max(best, float(np.sum(w * r * v)) / norm)
-    return best
 
 
 def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
@@ -481,52 +433,3 @@ def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
     rhs = 2.0 * luxemburg_norm(phi, u, iv) * luxemburg_norm(comp, v, iv)
     return {"lhs": lhs, "rhs": rhs}
 
-
-# ---------------------------------------------------------------------------
-# Delta_2 condition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Delta2Result:
-    satisfied: bool
-    K: float
-
-
-def check_delta2(phi: YoungFunction, s0: float = 1.0,
-                 grid: np.ndarray | None = None) -> Delta2Result:
-    """Empirical Delta_2 check: K = max Phi(2s)/Phi(s) over a geometric
-    grid, satisfied when the ratio sequence stays bounded.
-
-    The existential 'there exist K and s0' is approximated by bounded-ratio
-    detection: a ratio spread beyond 100x over the grid is reported as
-    divergent.  Tabulated kinds are checked on their exact knot support.
-    """
-    if s0 < 0:
-        raise DomainError("s0 must be >= 0")
-    if grid is None:
-        top = 1e6
-        if phi.kind == "tabulated":
-            top = min(top, phi.knots[-1, 0] / 2.0)
-        lo = max(s0, 1e-8)
-        if top <= lo:
-            raise DomainError("tabulated support too small for a Delta_2 grid")
-        grid = np.geomspace(lo, top, 200)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.size == 0 or np.any(grid < s0):
-            raise DomainError("grid must be a nonempty subset of [s0, inf)")
-
-    num = np.asarray(phi(2.0 * grid))
-    den = np.asarray(phi(grid))
-    if np.any((den == 0) & (num > 0)):
-        return Delta2Result(False, math.inf)
-    mask = den > 0
-    if not np.any(mask):
-        return Delta2Result(True, 0.0)
-    ratios = num[mask] / den[mask]
-    K = float(np.max(ratios))
-    if not math.isfinite(K):
-        return Delta2Result(False, math.inf)
-    spread = K / float(np.min(ratios))
-    return Delta2Result(spread <= 100.0, K)

@@ -13,7 +13,6 @@ and platforms for a fixed seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,10 +20,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 
-__all__ = [
-    "Interval", "Signal", "restrict", "random_signal", "lp_norm",
-    "write_csv", "read_csv",
-]
+__all__ = ["Interval", "Signal", "restrict", "random_signal", "write_csv"]
 
 # e**x overflows double precision just above this exponent
 _EXP_OVERFLOW = 700.0
@@ -136,33 +132,6 @@ class Signal:
     def zero(iv: Interval, d: int = 1) -> "Signal":
         return Signal.constant(np.zeros(d), iv)
 
-    # -- serialization -------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        header = ["t_start", "t_end"] + [f"v_{j + 1}" for j in range(self.d)]
-        write_csv(path, header,
-                  np.column_stack([self.grid[:-1], self.grid[1:], self.values]).tolist())
-
-    @staticmethod
-    def from_csv(path) -> "Signal":
-        data = read_csv(path)
-        return Signal(np.append(data[:, 0], data[-1, 1]), data[:, 2:])
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "t0": self.grid[0],
-            "t1": self.grid[-1],
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj) -> "Signal":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return Signal(np.asarray(obj["grid"]), np.asarray(obj["values"]))
-
 
 def restrict(u: Signal, iv: Interval) -> Signal:
     """Clip a signal to a subinterval of its domain."""
@@ -194,20 +163,6 @@ def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float)
     return Signal(grid, values)
 
 
-def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
-    """Exact L^p norm (p in [1, inf]) of a piecewise-constant signal."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if iv is not None:
-        u = restrict(u, iv)
-    r = u.cell_norms()
-    m = float(np.max(r))
-    if math.isinf(p) or m == 0.0:
-        return m
-    # scaled by the largest cell norm, so that r**p cannot underflow or overflow
-    return m * float(np.sum(u.widths * (r / m) ** p) ** (1.0 / p))
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write a CSV artifact: floats with 17 significant digits, so that
     they read back exactly, and every other cell with str."""
@@ -218,9 +173,3 @@ def write_csv(path, header: list[str], rows) -> None:
             [f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
         )
 
-
-def read_csv(path) -> np.ndarray:
-    """The rows of a numeric CSV artifact below its header, as floats."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    return np.array([[float(x) for x in row] for row in rows[1:]])

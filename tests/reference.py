@@ -1,0 +1,32 @@
+"""Independent reference implementations that tests compare the library
+against: the exact L^p norm of a piecewise-constant signal and a reader for
+the CSV artifacts of write_csv."""
+
+import csv
+import math
+
+import numpy as np
+
+from isslab.errors import DomainError
+from isslab.signals import Interval, Signal, restrict
+
+
+def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
+    """Exact L^p norm (p in [1, inf]) of a piecewise-constant signal."""
+    if p < 1:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if iv is not None:
+        u = restrict(u, iv)
+    r = u.cell_norms()
+    m = float(np.max(r))
+    if math.isinf(p) or m == 0.0:
+        return m
+    # scaled by the largest cell norm, so that r**p cannot underflow or overflow
+    return m * float(np.sum(u.widths * (r / m) ** p) ** (1.0 / p))
+
+
+def read_csv(path) -> np.ndarray:
+    """The rows of a numeric CSV artifact below its header, as floats."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(x) for x in row] for row in rows[1:]])

@@ -10,7 +10,8 @@ import pytest
 from isslab import bounds, diagonal, fokker_planck as fp
 from isslab.mild_solver import solve_mild
 from isslab.orlicz import YoungFunction, complementary, holder_pair, luxemburg_norm
-from isslab.signals import Interval, Signal, lp_norm, random_signal, restrict
+from isslab.signals import Interval, Signal, random_signal, restrict
+from reference import lp_norm
 
 
 def test_acceptance_1_orlicz_lp_consistency():

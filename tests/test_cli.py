@@ -50,6 +50,18 @@ def test_orlicz_norm_command(tmp_path):
     assert (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("constant", [2.0, [2.0, 2.0, 2.0]])
+def test_constant_signal_fills_d_components(tmp_path, constant):
+    # the norm of s^2 is the L^2 norm: |(2, 2, 2)| on [0, 1] is 2 sqrt(3)
+    cfg = write_config(tmp_path, "c.json", {"command": "orlicz-norm", "params": {
+        "young": {"kind": "power", "p": 2},
+        "signal": {"t0": 0, "t1": 1, "constant": constant, "d": 3}}})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    norm = json.loads((out / "summary.json").read_text())["norm"]
+    assert norm == pytest.approx(2.0 * math.sqrt(3.0), rel=1e-14)
+
+
 def test_invalid_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, "bad.json", {"command": "no-such", "params": {}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
@@ -501,6 +513,8 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("orlicz-norm", {"signal": {**_SIGNAL, "amplitude": 10**400}}),
     # finite, but more time steps than numpy can allocate
     ("simulate-fp", {"T": 1e300, "u": {"t0": 0, "t1": 1e300, "constant": 0.5}}),
+    # a constant list gives one value per component: its length must be d
+    ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": [1, 2], "d": 3}}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}

@@ -352,22 +352,6 @@ def test_simulate_rejects_vector_control(fp_bench):
         fp.simulate(fp_bench, fp.stationary_density(fp_bench), u, 0.1, 1e-3)
 
 
-def test_project_P(fp_bench):
-    rho_inf = fp.stationary_density(fp_bench)
-    assert np.max(np.abs(fp.project_P(fp_bench, rho_inf).values)) <= 1e-12
-    y = fp.DensityField(fp_bench.grid, np.sin(3 * fp_bench.grid) + 1.0)
-    py = fp.project_P(fp_bench, y)
-    ppy = fp.project_P(fp_bench, py)
-    assert np.max(np.abs(ppy.values - py.values)) <= 1e-12
-    rho = fp.DensityField(fp_bench.grid, rho_inf.values + 0.1 * np.cos(np.pi * fp_bench.grid))
-    assert np.allclose(
-        fp.project_P(fp_bench, rho).values, rho.values - rho_inf.values, atol=1e-12
-    )
-    # the control operator's range already has zero mass
-    b_out = fp.DensityField(fp_bench.grid, fp_bench.B @ rho.values)
-    assert np.max(np.abs(fp.project_P(fp_bench, b_out).values - b_out.values)) <= 1e-10
-
-
 def test_spectral_gap_uniform():
     m = uniform_model(J=256)
     g = fp.spectral_gap(m)
@@ -435,11 +419,3 @@ def test_input_energy_is_zero_outside_domain():
     assert np.array_equal(energies, [0.0, 0.5, 5.0, 5.0])
     assert fp._input_energy(None, 3.0) == 0.0
 
-
-def test_density_csv_roundtrip(tmp_path, fp_bench):
-    rho = fp.stationary_density(fp_bench)
-    path = tmp_path / "rho.csv"
-    fp.density_to_csv(rho, path)
-    back = fp.density_from_csv(path)
-    assert np.array_equal(rho.values, back.values)
-    assert back.mass == pytest.approx(rho.mass)

@@ -9,17 +9,15 @@ from isslab import orlicz
 from isslab.errors import DataError, DomainError, UnsupportedError
 from isslab.orlicz import (
     YoungFunction,
-    check_delta2,
     complementary,
-    dual_norm_lower_bound,
-    eval_young,
     holder_pair,
     legendre_transform,
     luxemburg_norm,
     prefix_luxemburg_norms,
     small_interval_norm,
 )
-from isslab.signals import Interval, Signal, lp_norm, random_signal, restrict
+from isslab.signals import Interval, Signal, random_signal, restrict
+from reference import lp_norm
 
 ALL_KINDS = [
     YoungFunction.power(2),
@@ -33,11 +31,11 @@ ALL_KINDS = [
 
 
 def test_eval_young_values():
-    assert eval_young(YoungFunction.power(2), 3.0) == 9.0
-    assert eval_young(YoungFunction.loglog(), 0.0) == 0.0
-    assert eval_young(YoungFunction.power_over_p(2), 2.0) == 2.0
+    assert YoungFunction.power(2)(3.0) == 9.0
+    assert YoungFunction.loglog()(0.0) == 0.0
+    assert YoungFunction.power_over_p(2)(2.0) == 2.0
     with pytest.raises(DomainError):
-        eval_young(YoungFunction.power(2), -1.0)
+        YoungFunction.power(2)(-1.0)
 
 
 @pytest.mark.parametrize("phi", ALL_KINDS, ids=lambda p: p.kind)
@@ -64,15 +62,6 @@ def test_young_growth_conditions(phi):
     assert phi(1e12) / 1e12 > phi(1e6) / 1e6
 
 
-def test_serialization_roundtrip():
-    tab = complementary(YoungFunction.loglog())
-    back = YoungFunction.from_json(tab.to_json())
-    s = np.geomspace(1e-5, tab.knots[-1, 0], 50)
-    assert np.allclose(tab(s), back(s), rtol=0)
-    p = YoungFunction.from_json(YoungFunction.power(2.5).to_json())
-    assert p.p == 2.5
-
-
 # -- complementary functions ----------------------------------------------
 
 
@@ -89,7 +78,6 @@ def test_tabulated_functions_compare_by_knot_values():
     assert a == b and hash(a) == hash(b)
     assert a != complementary(YoungFunction.power(3))
     assert a != YoungFunction.tabulated(a.knots * [1.0, 2.0])
-    assert YoungFunction.from_json(a.to_json()) == a
     assert len({a, b, YoungFunction.power(2)}) == 2
 
 
@@ -147,8 +135,22 @@ def test_legendre_transform_batch_matches_per_knot(phi):
 
 
 def test_complementary_knots_match_per_knot_transform(comp_loglog):
+    # every maximizer lies on the [1e-12, 1e290] grid, so no knot searches
+    # the lower grid and the table keeps its bits
     s, vals = comp_loglog.knots[:, 0], comp_loglog.knots[:, 1]
     assert np.array_equal(vals, [_legendre_one(YoungFunction.loglog(), x) for x in s])
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5])
+def test_complementary_power_knots_below_the_grid(p):
+    # s^p has its maximizers t = (s/p)^{1/(p-1)} below 1e-12 at the small
+    # knots (s < 0.066 for p = 1.1), where the transform (p-1)(s/p)^q is tiny
+    # but positive
+    knots = complementary(YoungFunction.power(p)).knots
+    s, vals = knots[:, 0], knots[:, 1]
+    assert s.size == 512 and np.all(vals > 0)
+    exact = (p - 1.0) * (s / p) ** (p / (p - 1.0))
+    assert np.max(np.abs(vals - exact) / exact) <= 1e-5
 
 
 def test_tabulated_conjugate_interpolation_accuracy():
@@ -447,27 +449,7 @@ def test_small_interval_norm():
     assert vals[-1] < 0.05
 
 
-# -- dual lower bound and Hoelder -----------------------------------------
-
-
-def test_dual_norm_lower_bound_sandwich():
-    iv = Interval(0.0, 1.0)
-    assert dual_norm_lower_bound(YoungFunction.power(2), Signal.zero(iv), iv) == 0.0
-    for seed in range(10):
-        u = random_signal(seed, 1, Interval(0.0, 1.0), 8, 1.0)
-        lb = dual_norm_lower_bound(YoungFunction.power(2), u, iv, budget=6)
-        lux = luxemburg_norm(YoungFunction.power(2), u)
-        assert 0.0 <= lb <= 2.0 * lux * (1 + 1e-10)
-
-
-def test_dual_norm_lower_bound_ramp():
-    # matched candidate shape: the bound reaches at least half the norm
-    grid = np.linspace(0.0, 1.0, 65)
-    u = Signal(grid, (0.5 * (grid[:-1] + grid[1:])).reshape(-1, 1))
-    iv = Interval(0.0, 1.0)
-    phi = YoungFunction.power_over_p(2)
-    lb = dual_norm_lower_bound(phi, u, iv, budget=4)
-    assert lb >= 0.5 * luxemburg_norm(phi, u)
+# -- Hoelder pairing -------------------------------------------------------
 
 
 def test_holder_pair_values():
@@ -492,17 +474,3 @@ def test_holder_random_sweep():
         hp = holder_pair(u, v, phi, iv)
         assert hp["lhs"] <= hp["rhs"] + 1e-10
 
-
-# -- Delta_2 ---------------------------------------------------------------
-
-
-def test_delta2_results(comp_loglog):
-    r = check_delta2(YoungFunction.power(2), 1.0)
-    assert r.satisfied and r.K == pytest.approx(4.0)
-    for p in (1.5, 3.0, 4.0):
-        rp = check_delta2(YoungFunction.power(p), 1.0)
-        assert rp.satisfied and rp.K == pytest.approx(2.0**p)
-    ri = check_delta2(YoungFunction.identity(), 1.0)
-    assert ri.satisfied and ri.K == pytest.approx(2.0)
-    assert check_delta2(YoungFunction.loglog(), 1.0).satisfied
-    assert not check_delta2(comp_loglog, 1.0).satisfied
