@@ -408,7 +408,8 @@ def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
 
 
 def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -> float:
-    """Luxemburg norm of u on [t, t+delta]; the solver's step-size probe."""
+    """Luxemburg norm of u on [t, t+delta]: the tests' reference for the L^2
+    window rule of mild_solver, and a site that bench/tracer.py traces."""
     if delta <= 0:
         raise DomainError("delta must be > 0")
     return luxemburg_norm(phi, u, Interval(t, t + delta))

@@ -24,6 +24,8 @@ __all__ = ["Interval", "Signal", "restrict", "random_signal", "write_csv"]
 
 # e**x overflows double precision just above this exponent
 _EXP_OVERFLOW = 700.0
+# a norm below this has a subnormal sum of squares, which loses digits
+_TINY_NORM = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,11 @@ class Signal:
         return np.diff(self.grid)
 
     def cell_norms(self) -> np.ndarray:
-        """Euclidean norm of each cell's value vector, rescaled where squares under/overflow."""
+        """Euclidean norm of each cell's value vector, rescaled where squares
+        overflow or their sum is subnormal (below _TINY_NORM**2)."""
         with np.errstate(over="ignore"):
             r = np.linalg.norm(self.values, axis=1)
-            odd = np.isinf(r) | ((r == 0) & np.any(self.values != 0, axis=1))
+            odd = np.isinf(r) | ((r < _TINY_NORM) & np.any(self.values != 0, axis=1))
             scale = np.max(np.abs(self.values[odd]), axis=1, keepdims=True)
             r[odd] = scale[:, 0] * np.linalg.norm(self.values[odd] / scale, axis=1)
         return r
@@ -125,12 +128,12 @@ class Signal:
     def constant(value, iv: Interval, d: int | None = None) -> "Signal":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         if d is not None and v.size == 1:
-            v = np.full(d, v[0])
+            v = _allocate(np.full, d, v[0])
         return Signal(np.array([iv.t0, iv.t1]), v.reshape(1, -1))
 
     @staticmethod
     def zero(iv: Interval, d: int = 1) -> "Signal":
-        return Signal.constant(np.zeros(d), iv)
+        return Signal.constant(0.0, iv, d)
 
 
 def restrict(u: Signal, iv: Interval) -> Signal:
@@ -158,9 +161,17 @@ def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float)
     if not math.isfinite(2 * amplitude):
         raise DomainError(f"amplitude {amplitude} is too large: 2 * amplitude must be finite")
     rng = np.random.Generator(np.random.Philox(seed))
-    grid = np.linspace(iv.t0, iv.t1, cells + 1)
-    values = rng.uniform(-amplitude, amplitude, size=(cells, d))
+    grid = _allocate(np.linspace, iv.t0, iv.t1, cells + 1)
+    values = _allocate(rng.uniform, -amplitude, amplitude, (cells, d))
     return Signal(grid, values)
+
+
+def _allocate(make, *args) -> np.ndarray:
+    """make(*args), an array whose size numpy refuses raising DomainError."""
+    try:
+        return make(*args)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise DomainError(f"signal size does not fit in memory: {exc}") from exc
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -515,6 +515,11 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("simulate-fp", {"T": 1e300, "u": {"t0": 0, "t1": 1e300, "constant": 0.5}}),
     # a constant list gives one value per component: its length must be d
     ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": [1, 2], "d": 3}}),
+    # a d or cells whose arrays numpy refuses to allocate
+    ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "zero": True, "d": 2**62}}),
+    ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": 2, "d": 2**62}}),
+    ("orlicz-norm", {"signal": {**_SIGNAL, "cells": 2**62}}),
+    ("audit-iss", {"cells": 2**62, "cases": 1}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import isslab
 from isslab.diagonal import (
     DiagonalModel,
     closed_form_solution,
@@ -15,7 +20,8 @@ from isslab.diagonal import (
     to_system_model,
 )
 from isslab.errors import DataError, DomainError
-from isslab.mild_solver import SystemModel, Trajectory, detect_blowup, solve_mild
+from isslab.mild_solver import SystemModel, Trajectory, _l2_norms, detect_blowup, solve_mild
+from isslab.orlicz import YoungFunction, small_interval_norm
 from isslab.signals import Interval, Signal, random_signal, restrict
 
 
@@ -197,6 +203,56 @@ def test_blowup_detection():
     stable = solve_mild(scalar_model(-1.0), [1.0], None, None, 1.0)
     assert detect_blowup(stable, 10.0) is None
     assert detect_blowup(traj, threshold) == traj.t_blowup
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_window_rule_matches_luxemburg_reference(data):
+    """The contracting rungs of the window rule are those of the rule
+    adm_c * small_interval_norm(power(2), u, a, delta) <= bound.  Drawn: a
+    signal of 1..3 components and 1..30 cells with amplitude 1e-200..1e200,
+    a window start (a breakpoint or any time) and adm_c: 0, log-uniform, so
+    that the bound falls anywhere on the halving ladder or past either end,
+    or placing one rung 1e-11..1e-2 relative above or below the bound.
+    Draws whose reference lies within 1e-12 relative of the bound are exempt."""
+    d, cells = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 30))
+    amplitude = 10.0 ** data.draw(st.floats(-200.0, 200.0))
+    u = random_signal(data.draw(st.integers(0, 2**16)), d, Interval(0.0, 2.0), cells, amplitude)
+    a = data.draw(st.one_of(st.sampled_from(u.grid[:-1].tolist()),
+                            st.floats(0.0, 1.9)))
+    ladder = (2.0 - a) * 0.5 ** np.arange(64)
+    ladder = ladder[ladder >= 1e-12]
+    ref = np.array([small_interval_norm(YoungFunction.power(2), u, a, float(delta))
+                    for delta in ladder])
+    bound = data.draw(st.sampled_from([0.5, 1.0]))
+    k = data.draw(st.integers(0, ladder.size - 1))
+    near = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-11.0, -2.0)).map(
+        lambda se: bound / (ref[k] * (1.0 + se[0] * 10.0 ** se[1])) if ref[k] > 0 else 0.0)
+    adm_c = data.draw(st.one_of(
+        st.just(0.0), st.floats(-1.0, 7.0).map(lambda e: 10.0 ** e / amplitude), near))
+    assume(not np.any(np.abs(adm_c * ref - bound) <= 1e-12 * bound))
+    got = adm_c * _l2_norms(u)(a, a + ladder) <= bound
+    assert np.array_equal(got, adm_c * ref <= bound)
+
+
+def test_blowup_of_example_model_under_large_control():
+    # u1 = 40 drives x' = (lam + 40 mu) x past the threshold; only tiny
+    # windows contract, so each window takes a low rung of its ladder
+    u1 = Signal.constant(40.0, Interval(0.0, 0.5))
+    traj = solve_mild(to_system_model(example3_model(2)), np.ones(2), u1, None, 0.5,
+                      tol=1e-8, quad_h=5e-4)
+    assert traj.status == "blowup"
+    assert traj.t_blowup == 0.35286891681817745
+    assert traj.grid.size == 9124
+
+
+def test_solver_import_does_not_load_orlicz():
+    # the window rule needs L^2 energies only, not the Young-function machinery
+    src = str(Path(isslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = "import sys, isslab.mild_solver; sys.exit('isslab.orlicz' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_two_inputs_match_ode_reference():

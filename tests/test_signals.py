@@ -121,6 +121,17 @@ def test_random_signal_rejects_overflowing_amplitude():
             random_signal(1, 1, iv, 4, amplitude)
 
 
+def test_sizes_numpy_refuses_raise_domain_error():
+    # 2**62 doubles exceed numpy's size limit, which it checks before allocating
+    iv = Interval(0.0, 1.0)
+    for make in (lambda: Signal.zero(iv, 2**62), lambda: Signal.constant(2.0, iv, 2**62),
+                 lambda: random_signal(1, 1, iv, 2**62, 1.0),
+                 lambda: random_signal(1, 2**62, iv, 1, 1.0)):
+        with pytest.raises(DomainError):
+            make()
+    assert np.array_equal(Signal.zero(iv, 3).values, np.zeros((1, 3)))
+
+
 def test_lp_norm_values():
     # lp_norm is the reference that the Luxemburg power norms are checked against
     assert lp_norm(Signal.constant(1.0, Interval(0.0, 4.0)), 2) == pytest.approx(2.0)
@@ -134,6 +145,9 @@ def test_lp_norm_values():
     assert r[0] == 5.0 and r[1] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
     # and squares below about 1e-308 underflow, the norms must not
     assert r[2] == 1e-200
+    # a sum of squares in the subnormal range keeps its digits too
+    part = Signal.constant([3e-162, 4e-162], Interval(0.0, 1.0)).cell_norms()
+    assert part[0] == pytest.approx(5e-162, rel=1e-15)
     tiny = Signal.constant(1e-200, Interval(0.0, 1.0))
     assert luxemburg_norm(YoungFunction.power(2), tiny) == pytest.approx(1e-200, rel=1e-15)
     assert lp_norm(tiny, 2) == pytest.approx(1e-200, rel=1e-15)
