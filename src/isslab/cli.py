@@ -198,10 +198,8 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     model = diagonal.example3_model(params["N"])
     u1 = _parse_signal(params["u1"], seed) if params["u1"] else None
     x0 = np.asarray(params["x0"] or [1.0] * params["N"], dtype=float)
-    traj = solve_mild(
-        diagonal.to_system_model(model), x0, u1, None, params["T"],
-        tol=params["tol"], quad_h=params["quad_h"],
-    )
+    traj = solve_mild(model, x0, u1, None, params["T"],
+                      tol=params["tol"], quad_h=params["quad_h"])
     oracle = diagonal.closed_form_trajectory(model, x0, u1, traj.grid)
     errs = np.max(np.abs(traj.states - oracle.states), axis=1).tolist()
     traj.to_csv(out_dir / "trajectory.csv", full_state=params["full_state"])

@@ -5,7 +5,9 @@ The model is the countable family of scalar bilinear equations
     x_n'(t) = lambda_n x_n(t) + u(t) mu_n x_n(t),
 
 truncated to N modes, with the benchmark choice lambda_n = -2^n and
-mu_n = 2^n / n.  Each mode solves in closed form,
+mu_n = 2^n / n.  `stable_model` builds the truncation as the solver's
+`SystemModel`, one model for the Picard solver and the closed forms.  Each
+mode solves in closed form,
 
     x_n(t) = exp(lambda_n t + mu_n int_0^t u(s) ds) x_n(0),
 
@@ -21,7 +23,6 @@ Phi~(x) = x ln(ln(x+e)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +32,11 @@ from .orlicz import YoungFunction, luxemburg_norm
 from .signals import _EXP_OVERFLOW, Signal
 
 __all__ = [
-    "DiagonalModel",
+    "stable_model",
     "example3_model",
     "closed_form_exponents",
     "closed_form_solution",
     "closed_form_trajectory",
-    "to_system_model",
     "mode_admissibility_l2",
     "carleson_series_term",
     "verify_kn_bound",
@@ -48,35 +48,29 @@ __all__ = [
 KN_CONSTANT = math.log(2.0) + math.log(2.0 * math.e)
 
 
-@dataclass(frozen=True)
-class DiagonalModel:
-    """Truncated diagonal bilinear system: N modes with rates lam and
-    control coefficients mu, both finite arrays of length N."""
-
-    N: int
-    lam: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if self.N < 1:
-            raise DomainError("N must be >= 1")
-        if lam.shape != (self.N,) or mu.shape != (self.N,):
-            raise DataError("lam and mu must both have length N")
-        if not np.all(np.isfinite(lam)) or not np.all(np.isfinite(mu)):
-            raise DataError("lam and mu entries must be finite")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
+def stable_model(lam, mu) -> SystemModel:
+    """The diagonal system with strictly stable rates lam and control
+    coefficients mu; its admissibility surrogate is the l^2 combination of
+    the per-mode L^2 constants |mu_n| / sqrt(2 |lam_n|)."""
+    m = SystemModel(lam, mu, 0.0)
+    if np.any(m.lam >= 0):
+        raise DomainError("stable_model expects strictly stable modes")
+    c = m.mu / np.sqrt(2.0 * np.abs(m.lam))
+    top = np.max(np.abs(c))
+    with np.errstate(over="ignore"):
+        adm_c = float(np.linalg.norm(c))
+    if adm_c in (0.0, math.inf) and top > 0:  # the squares under- or overflowed
+        adm_c = float(top * np.linalg.norm(c / top))
+    return SystemModel(m.lam, m.mu, adm_c)
 
 
-def example3_model(N: int) -> DiagonalModel:
+def example3_model(N: int) -> SystemModel:
     """The benchmark model lambda_n = -2^n, mu_n = 2^n/n, n = 1..N."""
     if not 1 <= N <= 60:
         raise DomainError(f"N must be in [1, 60], got {N}")
     n = np.arange(1, N + 1, dtype=float)
     pow2 = 2.0**n
-    return DiagonalModel(N, -pow2, pow2 / n)
+    return stable_model(-pow2, pow2 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +78,7 @@ def example3_model(N: int) -> DiagonalModel:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_exponents(m: DiagonalModel, u: Signal | None, t) -> np.ndarray:
+def closed_form_exponents(m: SystemModel, u: Signal | None, t) -> np.ndarray:
     """Per-mode exponents lambda_n t + mu_n int_0^t u, the log-domain
     representation of the propagator; an array of times gives one row of
     exponents per time."""
@@ -100,15 +94,15 @@ def closed_form_exponents(m: DiagonalModel, u: Signal | None, t) -> np.ndarray:
             raise DomainError("the diagonal system takes a scalar input")
         integral[live] = u.integral(flat[live, 0])
     expo = m.lam * flat + m.mu * integral
-    return expo.reshape(ts.shape + (m.N,))
+    return expo.reshape(ts.shape + (m.dim,))
 
 
-def closed_form_solution(m: DiagonalModel, x0, u: Signal | None, t) -> np.ndarray:
+def closed_form_solution(m: SystemModel, x0, u: Signal | None, t) -> np.ndarray:
     """x_n(t) = exp(lambda_n t + mu_n int_0^t u) x_n(0), exactly; an array
     of times gives one state row per time."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != m.N:
-        raise DataError(f"x0 has length {x0.size}, model has N={m.N}")
+    if x0.size != m.dim:
+        raise DataError(f"x0 has length {x0.size}, model has {m.dim} modes")
     expo = closed_form_exponents(m, u, t)
     if np.any(expo[..., x0 != 0] > _EXP_OVERFLOW):
         raise NumericError(
@@ -119,25 +113,11 @@ def closed_form_solution(m: DiagonalModel, x0, u: Signal | None, t) -> np.ndarra
         return np.exp(np.minimum(expo, _EXP_OVERFLOW)) * x0
 
 
-def closed_form_trajectory(m: DiagonalModel, x0, u: Signal | None,
+def closed_form_trajectory(m: SystemModel, x0, u: Signal | None,
                            times) -> Trajectory:
     """Trajectory sampled from the closed form on the given time grid."""
     times = np.asarray(times, dtype=float)
     return Trajectory(times, closed_form_solution(m, x0, u, times))
-
-
-def to_system_model(m: DiagonalModel) -> SystemModel:
-    """The truncation as the Picard solver's model; its admissibility
-    surrogate is the l^2 combination of the per-mode L^2 constants."""
-    if np.any(m.lam >= 0):
-        raise DomainError("to_system_model expects strictly stable modes")
-    c = m.mu / np.sqrt(2.0 * np.abs(m.lam))
-    top = np.max(np.abs(c))
-    with np.errstate(over="ignore"):
-        adm_c = float(np.linalg.norm(c))
-    if adm_c in (0.0, math.inf) and top > 0:  # the squares under- or overflowed
-        adm_c = float(top * np.linalg.norm(c / top))
-    return SystemModel(m.lam, m.mu, adm_c)
 
 
 # ---------------------------------------------------------------------------

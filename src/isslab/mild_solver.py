@@ -36,10 +36,10 @@ import numpy as np
 from .errors import DataError, DomainError, NumericError
 from .signals import Signal, write_csv
 
-__all__ = ["SystemModel", "Trajectory", "solve_mild", "detect_blowup"]
+__all__ = ["SystemModel", "Trajectory", "solve_mild"]
 
-# default norm threshold beyond which a trajectory is declared blown up:
-# far above any audited bound, well below double overflow
+# norm beyond which a trajectory is declared blown up: far above any
+# audited bound, well below double overflow; read when a solve runs
 BLOWUP_THRESHOLD = 1e12
 
 _PICARD_CAP = 200
@@ -48,12 +48,15 @@ _DELTA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SystemModel:
-    """Diagonal bilinear system x' = diag(lam) x + u1 diag(mu) x + u2.
+    """Diagonal bilinear system x' = diag(lam) x + u1 diag(mu) x + u2, the
+    one model of both the solver and the closed forms of `diagonal`.
 
-    lam    -- generator eigenvalues; omega = -max(lam) is the decay rate
+    lam    -- generator eigenvalues, at least one; omega = -max(lam) is the
+              decay rate
     mu     -- control coefficients of the scalar input u1
     adm_c  -- L^2 admissibility surrogate of the window rule (any upper
-              bound preserves contraction; 0 if mu = 0)
+              bound preserves contraction; 0 if mu = 0); the closed forms
+              ignore it, and `diagonal.stable_model` computes it
 
     u2 has one component, added to every mode, or one per mode.
     """
@@ -65,8 +68,9 @@ class SystemModel:
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if lam.ndim != 1 or mu.shape != lam.shape or not np.all(np.isfinite([lam, mu])):
-            raise DataError("lam and mu must be finite 1-d arrays of one length")
+        if (lam.ndim != 1 or lam.size == 0 or mu.shape != lam.shape
+                or not np.all(np.isfinite([lam, mu]))):
+            raise DataError("lam and mu must be finite nonempty 1-d arrays of one length")
         if not 0.0 <= self.adm_c < math.inf:
             raise DomainError("admissibility surrogate adm_c must be >= 0 and finite")
         object.__setattr__(self, "lam", lam)
@@ -176,13 +180,13 @@ def _picard(model: SystemModel, x_a: np.ndarray, nodes: np.ndarray,
 
 
 def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
-               T: float, tol: float = 1e-8, quad_h: float = 1e-3,
-               blowup_threshold: float = BLOWUP_THRESHOLD) -> Trajectory:
-    """Solve the mild formulation on [0, T] by windowed Picard iteration."""
-    if T <= 0:
-        raise DomainError("horizon T must be > 0")
-    if tol <= 0 or quad_h <= 0:
-        raise DomainError("tol and quad_h must be > 0")
+               T: float, tol: float = 1e-8, quad_h: float = 1e-3) -> Trajectory:
+    """Solve the mild formulation on [0, T] by windowed Picard iteration,
+    cut at the first node whose norm exceeds BLOWUP_THRESHOLD."""
+    if not 0 < T < math.inf:
+        raise DomainError("horizon T must be > 0 and finite")
+    if not (0 < tol < math.inf and 0 < quad_h < math.inf):
+        raise DomainError("tol and quad_h must be > 0 and finite")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != model.dim:
         raise DataError(f"x0 has dimension {x0.size}, model expects {model.dim}")
@@ -194,10 +198,10 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
 
     # u1 may cost at most half the contraction; u2 at most the bound M = 1
     rules = [(_l2_norms(u), bound) for u, bound in ((u1, 0.5), (u2, 1.0)) if u is not None]
-    grids, states, a, x_a = [np.zeros(1)], [x0[None, :]], 0.0, x0
+    grids, states, a, x_a, t_blowup = [np.zeros(1)], [x0[None, :]], 0.0, x0, None
     delta_cap = min(T, math.log(2.0) / abs(model.omega)) if model.omega else T
 
-    while a < T - 1e-14:
+    while a < T - 1e-14 and t_blowup is None:
         delta0 = min(delta_cap, T - a)
         ladder = delta0 * 0.5 ** np.arange(int(math.log2(delta0 / _DELTA_FLOOR)) + 2)
         ok = ladder >= _DELTA_FLOOR
@@ -211,23 +215,13 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
         else:
             raise NumericError(f"solve_mild: no window at t={a} both contracts and lets the "
                                f"Picard iteration converge (delta floor {_DELTA_FLOOR} reached)")
+        over = np.flatnonzero(np.linalg.norm(x, axis=1) > BLOWUP_THRESHOLD)
+        if over.size:  # row 0 is x_a, so an initial state beyond it keeps only t = 0
+            t_blowup = float(nodes[over[0]])
+            nodes, x = nodes[:over[0] + 1], x[:over[0] + 1]
         grids.append(nodes[1:])
         states.append(x[1:])
         a, x_a = float(nodes[-1]), x[-1]
-        if np.any(np.linalg.norm(x, axis=1) > blowup_threshold):
-            break
 
-    traj = Trajectory(np.concatenate(grids), np.concatenate(states))
-    t_blowup = detect_blowup(traj, blowup_threshold)
-    if t_blowup is None:
-        return traj
-    keep = traj.grid <= t_blowup
-    return Trajectory(traj.grid[keep], traj.states[keep], status="blowup", t_blowup=t_blowup)
-
-
-def detect_blowup(traj: Trajectory, threshold: float) -> float | None:
-    """First grid time at which the state norm exceeds threshold, if any."""
-    if threshold <= 0:
-        raise DomainError("threshold must be > 0")
-    over = traj.norms > threshold
-    return float(traj.grid[int(np.argmax(over))]) if np.any(over) else None
+    return Trajectory(np.concatenate(grids), np.concatenate(states),
+                      status="complete" if t_blowup is None else "blowup", t_blowup=t_blowup)

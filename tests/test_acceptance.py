@@ -41,11 +41,10 @@ def test_acceptance_2_holder_sweep(p):
 def test_acceptance_3_solver_oracle_equivalence():
     start = time.monotonic()
     model = diagonal.example3_model(8)
-    sm = diagonal.to_system_model(model)
     x0 = np.full(8, 0.5)
     for seed in range(20):
         u = random_signal(seed, 1, Interval(0.0, 2.0), 12, 1.0)
-        traj = solve_mild(sm, x0, u, None, 2.0, tol=1e-8, quad_h=5e-4)
+        traj = solve_mild(model, x0, u, None, 2.0, tol=1e-8, quad_h=5e-4)
         err = max(
             float(np.max(np.abs(
                 traj.states[i] - diagonal.closed_form_solution(model, x0, u, t)
@@ -57,10 +56,10 @@ def test_acceptance_3_solver_oracle_equivalence():
     # restart consistency: solve to 1, restart, compare with one pass
     tol = 1e-6
     u = random_signal(33, 1, Interval(0.0, 2.0), 12, 1.0)
-    full = solve_mild(sm, x0, u, None, 2.0, tol=tol, quad_h=5e-4)
-    first = solve_mild(sm, x0, u, None, 1.0, tol=tol, quad_h=5e-4)
+    full = solve_mild(model, x0, u, None, 2.0, tol=tol, quad_h=5e-4)
+    first = solve_mild(model, x0, u, None, 1.0, tol=tol, quad_h=5e-4)
     tail = restrict(u, Interval(1.0, 2.0))
-    second = solve_mild(sm, first.states[-1], Signal(tail.grid - 1.0, tail.values),
+    second = solve_mild(model, first.states[-1], Signal(tail.grid - 1.0, tail.values),
                         None, 1.0, tol=tol, quad_h=5e-4)
     assert np.linalg.norm(second.states[-1] - full.states[-1]) <= 5 * tol
     assert time.monotonic() - start < 30.0

@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isslab
-from isslab import cli, diagonal
+from isslab import diagonal, mild_solver
 from isslab.cli import main
-from isslab.mild_solver import solve_mild
 
 
 def write_config(tmp_path, name, cfg):
@@ -111,7 +110,7 @@ def test_simulate_diagonal_artifacts(tmp_path):
 
 def test_simulate_diagonal_blowup_summary(tmp_path, monkeypatch):
     # u1 = 5 makes the modes grow like e^{8t}; a threshold of 10 cuts the run short
-    monkeypatch.setattr(cli, "solve_mild", functools.partial(solve_mild, blowup_threshold=10.0))
+    monkeypatch.setattr(mild_solver, "BLOWUP_THRESHOLD", 10.0)
     cfg = write_config(tmp_path, "c.json", {"command": "simulate-diagonal", "params": {
         "N": 2, "T": 1.0, "u1": {"t0": 0, "t1": 1.0, "constant": 5.0}}})
     out = tmp_path / "run"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from isslab.diagonal import (
-    DiagonalModel,
     carleson_series_term,
     closed_form_exponents,
     closed_form_solution,
@@ -13,6 +12,7 @@ from isslab.diagonal import (
     example3_model,
     lp_admissibility_scan,
     mode_admissibility_l2,
+    stable_model,
     verify_kn_bound,
 )
 from isslab.errors import DataError, DomainError, NumericError
@@ -31,7 +31,7 @@ def test_example3_model_values():
     with pytest.raises(DomainError):
         example3_model(61)
     with pytest.raises(DataError):
-        DiagonalModel(2, np.array([-1.0]), np.array([1.0, 2.0]))
+        stable_model([-1.0], [1.0, 2.0])
 
 
 def test_closed_form_free_decay():

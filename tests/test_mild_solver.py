@@ -11,16 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import isslab
+from isslab import mild_solver
 from isslab.diagonal import (
-    DiagonalModel,
     closed_form_solution,
     closed_form_trajectory,
     example3_model,
     mode_admissibility_l2,
-    to_system_model,
+    stable_model,
 )
 from isslab.errors import DataError, DomainError
-from isslab.mild_solver import SystemModel, Trajectory, _l2_norms, detect_blowup, solve_mild
+from isslab.mild_solver import SystemModel, Trajectory, _l2_norms, solve_mild
 from isslab.orlicz import YoungFunction, small_interval_norm
 from isslab.signals import Interval, Signal, random_signal, restrict
 
@@ -67,11 +67,10 @@ def test_additive_input_matches_variation_of_constants():
 
 def test_oracle_agreement_diagonal():
     model = example3_model(8)
-    sm = to_system_model(model)
     x0 = np.full(8, 0.5)
     for seed in (0, 1, 2):
         u = random_signal(seed, 1, Interval(0.0, 2.0), 12, 1.0)
-        traj = solve_mild(sm, x0, u, None, 2.0, tol=1e-8, quad_h=5e-4)
+        traj = solve_mild(model, x0, u, None, 2.0, tol=1e-8, quad_h=5e-4)
         err = max(
             float(np.max(np.abs(traj.states[i] - closed_form_solution(model, x0, u, t))))
             for i, t in enumerate(traj.grid)
@@ -85,16 +84,20 @@ def test_oracle_agreement_diagonal():
 def test_solver_matches_oracle_on_random_diagonal_models(data):
     """solve_mild agrees with closed_form_solution to 1e-6, the bound of
     simulate-diagonal, at every node on [0, 1], with the CLI's tol=1e-8 and
-    quad_h=5e-4.  Drawn: N in 1..3, lam_n in [-4, -0.5], mu_n in [-2, 2],
-    x0_n in [-1, 1], and a scalar u1 of 1..8 cells with amplitude in [0, 1]."""
+    quad_h=5e-4, and stable_model's surrogate is the l^2 combination of the
+    per-mode L^2 constants.  Drawn: N in 1..3, lam_n in [-4, -0.5], mu_n in
+    [-2, 2], x0_n in [-1, 1], and a scalar u1 of 1..8 cells with amplitude
+    in [0, 1]."""
     N = data.draw(st.integers(1, 3))
     lam = np.array(data.draw(st.lists(st.floats(-4.0, -0.5), min_size=N, max_size=N)))
     mu = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=N, max_size=N)))
     x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N)))
     u1 = random_signal(data.draw(st.integers(0, 2**16)), 1, Interval(0.0, 1.0),
                        data.draw(st.integers(1, 8)), data.draw(st.floats(0.0, 1.0)))
-    model = DiagonalModel(N, lam, mu)
-    traj = solve_mild(to_system_model(model), x0, u1, None, 1.0, tol=1e-8, quad_h=5e-4)
+    model = stable_model(lam, mu)
+    per_mode = [mode_admissibility_l2(lam_n, mu_n, math.inf) for lam_n, mu_n in zip(lam, mu)]
+    assert model.adm_c == pytest.approx(math.hypot(*per_mode), rel=1e-14)
+    traj = solve_mild(model, x0, u1, None, 1.0, tol=1e-8, quad_h=5e-4)
     assert traj.status == "complete"
     assert np.max(np.abs(traj.states - closed_form_solution(model, x0, u1, traj.grid))) <= 1e-6
 
@@ -102,13 +105,12 @@ def test_solver_matches_oracle_on_random_diagonal_models(data):
 def test_scan_with_underflowing_and_growing_factors():
     # e^{-1e6 dt} underflows to 0 at dt = 1e-3 while e^{0.5 dt} exceeds 1;
     # with u2 = None each mode is exp(lam t + mu int u1) x0 exactly
-    lam, mu = np.array([-1e6, 0.5]), np.array([1.0, 0.5])
+    model = SystemModel([-1e6, 0.5], [1.0, 0.5], 1.0)
     u1 = random_signal(4, 1, Interval(0.0, 2.0), 8, 0.8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = solve_mild(SystemModel(lam, mu, 1.0), [1.0, 1.0], u1, None, 2.0,
-                          tol=1e-10, quad_h=1e-3)
-        exact = closed_form_solution(DiagonalModel(2, lam, mu), [1.0, 1.0], u1, traj.grid)
+        traj = solve_mild(model, [1.0, 1.0], u1, None, 2.0, tol=1e-10, quad_h=1e-3)
+        exact = closed_form_solution(model, [1.0, 1.0], u1, traj.grid)
     assert traj.status == "complete" and traj.grid[-1] == 2.0
     assert np.all(traj.states[1:, 0] == 0.0)
     assert np.max(np.abs(traj.states - exact)) <= 1e-6
@@ -120,15 +122,14 @@ def test_oracle_agreement_n14():
     model = example3_model(14)
     x0 = np.ones(14)
     u = random_signal(1, 1, Interval(0.0, 1.0), 12, 1.0)
-    traj = solve_mild(to_system_model(model), x0, u, None, 1.0, tol=1e-8, quad_h=1.25e-5)
+    traj = solve_mild(model, x0, u, None, 1.0, tol=1e-8, quad_h=1.25e-5)
     assert traj.status == "complete"
     oracle = closed_form_trajectory(model, x0, u, traj.grid)
     assert np.max(np.abs(traj.states - oracle.states)) <= 1e-6
 
 
 def test_restart_consistency():
-    model = example3_model(6)
-    sm = to_system_model(model)
+    sm = example3_model(6)
     x0 = np.full(6, 0.3)
     u = random_signal(9, 1, Interval(0.0, 2.0), 10, 0.8)
     # the comparison tolerance must cover the quadrature error, so the
@@ -158,51 +159,78 @@ def test_grid_refinement_second_order():
 
 def test_semigroup_model_laws():
     dm = example3_model(5)
-    sm = to_system_model(dm)
+    sm = stable_model(dm.lam, dm.mu)
     assert np.array_equal(sm.lam, dm.lam) and np.array_equal(sm.mu, dm.mu)
     assert sm.dim == 5 and sm.omega == 2.0
     # the l^2 combination of the per-mode L^2 admissibility constants
     per_mode = [mode_admissibility_l2(lam_n, mu_n, math.inf)
                 for lam_n, mu_n in zip(dm.lam, dm.mu)]
     assert sm.adm_c == pytest.approx(math.hypot(*per_mode), rel=1e-14)
-    unstable = DiagonalModel(2, np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
-        to_system_model(unstable)
+        stable_model([-1.0, 0.0], [1.0, 1.0])
     with pytest.raises(DataError):
         SystemModel([-1.0, -2.0], [1.0], 1.0)
     with pytest.raises(DomainError):
         SystemModel([-1.0], [1.0], -1.0)
+    # stable_model validates the arrays before its arithmetic
+    with pytest.raises(DataError):
+        stable_model([-1.0, -2.0], [1.0])
+    with pytest.raises(DataError):
+        stable_model([-1.0], [math.nan])
     # a zero control operator has admissibility constant 0
-    assert to_system_model(DiagonalModel(1, np.array([-1.0]), np.zeros(1))).adm_c == 0.0
+    assert stable_model([-1.0], [0.0]).adm_c == 0.0
     # squares that under- or overflow still give the l^2 combination
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny = to_system_model(DiagonalModel(1, np.array([-1.0]), np.array([2.85e-217])))
-        huge = to_system_model(DiagonalModel(2, np.array([-1.0, -1.0]), np.full(2, 1e160)))
+        tiny = stable_model([-1.0], [2.85e-217])
+        huge = stable_model([-1.0, -1.0], [1e160, 1e160])
     assert tiny.adm_c == pytest.approx(2.85e-217 / math.sqrt(2.0), rel=1e-14, abs=0.0)
     assert huge.adm_c == pytest.approx(1e160, rel=1e-14)
 
 
-def test_blowup_detection():
+def test_empty_model_raises_data_error():
+    with pytest.raises(DataError):
+        SystemModel([], [], 0.0)
+    with pytest.raises(DataError):
+        stable_model([], [])
+
+
+@pytest.mark.parametrize("name, value", [("T", math.nan), ("T", math.inf), ("T", 0.0),
+                                         ("tol", math.nan), ("tol", math.inf),
+                                         ("quad_h", math.nan), ("quad_h", math.inf)])
+def test_solver_arguments_must_be_positive_and_finite(name, value):
+    args = {"T": 1.0, "tol": 1e-8, "quad_h": 1e-3, name: value}
+    with pytest.raises(DomainError):
+        solve_mild(scalar_model(-1.0), [1.0], None, None, **args)
+
+
+def test_blowup_detection(monkeypatch):
     # x' = x + 2 x = 3x grows like e^{3t} and crosses the threshold
     m = scalar_model(1.0)
     u1 = Signal.constant(2.0, Interval(0.0, 12.0))
     threshold = 1e6
-    traj = solve_mild(m, [1.0], u1, None, 12.0, tol=1e-8, quad_h=1e-2,
-                      blowup_threshold=threshold)
+    monkeypatch.setattr(mild_solver, "BLOWUP_THRESHOLD", threshold)
+    traj = solve_mild(m, [1.0], u1, None, 12.0, tol=1e-8, quad_h=1e-2)
     assert traj.status == "blowup"
     assert traj.t_blowup == pytest.approx(math.log(threshold) / 3.0, abs=0.05)
     # the cut trajectory is the unbounded solve up to the first crossing
-    full = solve_mild(m, [1.0], u1, None, 12.0, tol=1e-8, quad_h=1e-2,
-                      blowup_threshold=math.inf)
+    monkeypatch.setattr(mild_solver, "BLOWUP_THRESHOLD", math.inf)
+    full = solve_mild(m, [1.0], u1, None, 12.0, tol=1e-8, quad_h=1e-2)
     assert full.status == "complete" and full.grid[-1] == 12.0
     n = traj.grid.size
     assert np.array_equal(full.grid[:n], traj.grid)
     assert np.array_equal(full.states[:n], traj.states)
     assert full.norms[n - 1] > threshold >= np.max(full.norms[: n - 1])
+    assert traj.t_blowup == full.grid[n - 1]
+    monkeypatch.setattr(mild_solver, "BLOWUP_THRESHOLD", 10.0)
     stable = solve_mild(scalar_model(-1.0), [1.0], None, None, 1.0)
-    assert detect_blowup(stable, 10.0) is None
-    assert detect_blowup(traj, threshold) == traj.t_blowup
+    assert stable.status == "complete" and stable.t_blowup is None
+
+
+def test_initial_state_beyond_threshold_is_blowup_at_zero():
+    traj = solve_mild(scalar_model(-1.0), [1e13], None, None, 1.0)
+    assert traj.grid.tolist() == [0.0] and traj.states.tolist() == [[1e13]]
+    assert traj.status == "blowup" and traj.t_blowup == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +267,7 @@ def test_blowup_of_example_model_under_large_control():
     # u1 = 40 drives x' = (lam + 40 mu) x past the threshold; only tiny
     # windows contract, so each window takes a low rung of its ladder
     u1 = Signal.constant(40.0, Interval(0.0, 0.5))
-    traj = solve_mild(to_system_model(example3_model(2)), np.ones(2), u1, None, 0.5,
+    traj = solve_mild(example3_model(2), np.ones(2), u1, None, 0.5,
                       tol=1e-8, quad_h=5e-4)
     assert traj.status == "blowup"
     assert traj.t_blowup == 0.35286891681817745
@@ -287,7 +315,7 @@ def test_input_domain_checked():
     with pytest.raises(DomainError):
         solve_mild(m, [1.0], short, None, 1.0)
     # u1 is scalar; u2 has one component or one per mode
-    sm = to_system_model(example3_model(4))
+    sm = example3_model(4)
     iv = Interval(0.0, 1.0)
     with pytest.raises(DomainError):
         solve_mild(sm, np.ones(4), random_signal(0, 2, iv, 4, 0.5), None, 1.0)
