@@ -189,7 +189,7 @@ def _parse_field(spec):
 def _cmd_orlicz_norm(params: dict, seed, out_dir: Path) -> dict:
     phi = _parse_young(params["young"])
     u = _parse_signal(params["signal"], seed)
-    norm = luxemburg_norm(phi, u, tol=params["tol"])
+    norm = luxemburg_norm(phi, u)
     write_csv(out_dir / "results.csv", ["kind", "norm"], [[phi.kind, norm]])
     return {"norm": norm, "pass": True}
 
@@ -312,8 +312,7 @@ _N, _T = (_INT, None, _REQUIRED), (_NUM, None, _REQUIRED)
 # each command's function and parameter table
 _DISPATCH = {
     "orlicz-norm": (_cmd_orlicz_norm, {
-        "young": (_YOUNG, None, _REQUIRED), "signal": (_SIGNAL, None, _REQUIRED),
-        "tol": (_NUM, None, 1e-12)}),
+        "young": (_YOUNG, None, _REQUIRED), "signal": (_SIGNAL, None, _REQUIRED)}),
     "simulate-diagonal": (_cmd_simulate_diagonal, {
         "N": _N, "T": _T, "u1": (_SIGNAL, None, None), "x0": (_NUMS, None, None),
         "tol": (_NUM, None, 1e-8), "quad_h": (_NUM, None, 5e-4),

@@ -245,13 +245,14 @@ def _decaying_majorant(amplitude: float, rate: float, cells: int = 600) -> Signa
     return Signal(grid, vals.reshape(-1, 1))
 
 
-def example3_admissibility(N: int, tol: float = 1e-10) -> dict:
+def example3_admissibility(N: int) -> dict:
     """Horizon-uniform admissibility constant of the benchmark control
     operator with respect to the half-shifted semigroup (shift omega/2 = 1).
 
     Each shifted mode kernel mu_n e^{-(2^n - 1) s} is majorized by a
-    piecewise-constant envelope whose L_{Phi~} Luxemburg norm c_n is
-    computed exactly; the Hoelder pairing then gives
+    piecewise-constant envelope whose L_{Phi~} Luxemburg norm c_n is the
+    smallest float whose modular is <= 1, with no tolerance; the Hoelder
+    pairing then gives
 
         C_B1 = 2 * sqrt(sum_n c_n^2),
 
@@ -266,6 +267,6 @@ def example3_admissibility(N: int, tol: float = 1e-10) -> dict:
         if rate <= 0:
             raise DomainError("half-shifted mode is not stable")
         env = _decaying_majorant(model.mu[n - 1], rate)
-        c.append(luxemburg_norm(phit, env, tol=tol))
+        c.append(luxemburg_norm(phit, env))
     c = np.asarray(c)
     return {"c_n": c, "C_B1": 2.0 * float(np.linalg.norm(c))}

@@ -4,12 +4,11 @@ A Young function is a convex gauge Phi with Phi(0) = 0, Phi(s)/s -> 0 at 0
 and -> infinity at infinity.  The identity kind is the explicit L^1
 convention and is exempt from the growth conditions.  The Luxemburg norm of
 a piecewise-constant signal is computed exactly: the defining integral is a
-finite sum of rectangle terms and the map k -> int Phi(|u|/k) is monotone
-decreasing, so bracketing plus bisection (the loglog kind) is globally
-convergent.  The power kinds' norm is p^{-1/p} (s^p/p) or 1 (s^p) times the
-L^p norm; a tabulated Phi makes the modular piecewise linear in 1/k, whose
-root Newton finds exactly.  No tolerance affects either.  One batched kernel
-serves the single norm and the audit's prefix norms.
+finite sum of rectangle terms, convex in 1/k.  Every kind but identity
+takes one algorithm: a bracket, Newton on the modular in 1/k, and ulp steps
+onto the smallest feasible float, with bisection to it as the fallback.
+No tolerance is involved.  One batched kernel serves the single norm and
+the audit's prefix norms.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -43,9 +42,9 @@ _LEGENDRE_KNOTS = 512
 _VALUE_CAP = 1e250
 # knots per (knots x grid) temporary in the batched Legendre grid search
 _LEGENDRE_CHUNK = 32
-# upward ulp steps that bring a closed-form or Newton norm to the feasible side
+# ulp steps that bring a Newton norm onto the smallest feasible float
 _NUDGE_CAP = 64
-# Newton sweeps on a tabulated modular before its rows fall back to bisection
+# Newton sweeps on a modular before its rows fall back to bisection
 _NEWTON_CAP = 64
 
 
@@ -63,11 +62,13 @@ class YoungFunction:
     knots: np.ndarray | None = field(default=None, compare=False)
     # tabulated kinds compare and hash by their knot values
     _knot_values: tuple | None = field(default=None, init=False, repr=False)
-    # tabulated kinds: interpolation nodes pinned at the origin and the
-    # slope that extrapolates above the last knot, fixed at construction
-    _xp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _fp: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _slope: float = field(default=0.0, init=False, repr=False, compare=False)
+    # tabulated kinds, fixed at construction: piece j = searchsorted(xp, s),
+    # xp = _x0[1:] the knots pinned at the origin, has left end _x0[j], value
+    # _f0[j] and slope _g0[j]; piece 0 repeats piece 1, and the last one
+    # extrapolates above the last knot
+    _x0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _f0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _g0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -89,9 +90,10 @@ class YoungFunction:
             object.__setattr__(self, "knots", knots)
             object.__setattr__(self, "_knot_values", tuple(knots.ravel().tolist()))
             ks, kv = knots[:, 0], knots[:, 1]
-            object.__setattr__(self, "_xp", np.append(0.0, ks))
-            object.__setattr__(self, "_fp", np.append(0.0, kv))
-            object.__setattr__(self, "_slope", (kv[-1] - kv[-2]) / (ks[-1] - ks[-2]))
+            xp, fp = np.append(0.0, ks), np.append(0.0, kv)
+            g = np.append(np.diff(fp) / np.diff(xp), (kv[-1] - kv[-2]) / (ks[-1] - ks[-2]))
+            for name, v in (("_x0", xp), ("_f0", fp), ("_g0", g)):
+                object.__setattr__(self, name, np.append(v[:1], v))
 
     # -- constructors --------------------------------------------------
 
@@ -137,11 +139,29 @@ class YoungFunction:
         if self.kind == "loglog":
             return s * np.log(np.log(s + math.e))
         # pin at the origin; extrapolate above with the last slope
-        out = np.interp(s, self._xp, self._fp)
-        top = s > self._xp[-1]
+        xp, fp = self._x0[1:], self._f0[1:]
+        out = np.interp(s, xp, fp)
+        top = s > xp[-1]
         if np.any(top):
-            out = np.where(top, self._fp[-1] + self._slope * (s - self._xp[-1]), out)
+            out = np.where(top, fp[-1] + self._g0[-1] * (s - xp[-1]), out)
         return out
+
+    def _value_slope(self, s: np.ndarray):
+        """Phi and its left slope, a subgradient, on a float array s >= 0 for
+        a kind other than identity, without checks; the caller owns the
+        floating-point error state.  A tabulated Phi takes one searchsorted."""
+        if self.kind == "tabulated":
+            j = np.searchsorted(self._x0[1:], s)
+            g = self._g0[j]
+            return self._f0[j] + g * (s - self._x0[j]), g
+        if self.kind == "loglog":
+            ln = np.log(s + math.e)
+            lnln = np.log(ln)
+            return s * lnln, lnln + s / ((s + math.e) * ln)
+        v = s ** (self.p - 1.0)
+        if self.kind == "power":
+            return v * s, self.p * v
+        return v * s / self.p, v
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +258,17 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 
-def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
-                    tol: float) -> np.ndarray:
+def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Luxemburg norms over the shared cell norms r, one per row of cell
     widths W; a zero width leaves the cell out of its row.
 
-    Power kinds take the closed form m (sum w (r/m)^p [/p])^{1/p}, m the
-    row's largest live r.  Other rows halve or double k from max r until the
-    modular crosses 1; tabulated rows then run _newton.  Closed-form and
-    Newton norms are stepped up by ulps to the feasible side, and Newton
-    norms down by ulps onto the smallest feasible float.  The loglog rows
-    bisect until hi - lo <= max(tol*(1+hi), 2 ulps), the tabulated rows
-    Newton or the ulp steps cannot finish until 2 ulps; both return hi.
+    One algorithm for every kind but identity: each row halves or doubles k
+    from its largest r until the modular crosses 1, runs _newton, and walks
+    the Newton norm by ulps onto the smallest feasible float.  A row Newton
+    or the walk cannot finish bisects until its ends are adjacent floats and
+    returns the feasible one.
     No row under-reports its norm; a norm below 1e-300 is 0.
     """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
     live = W > 0
     if phi.kind == "identity":
         return np.add.reduce(W * r, axis=1, where=live)
@@ -270,78 +285,66 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
 
     zero = np.zeros(rows.size, dtype=bool)
-    bisect = np.full(rows.size, phi.kind == "loglog")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if phi.kind in ("power", "power_over_p"):
-            mod = np.add.reduce(W * phi._eval(r / k[:, None]), axis=1, where=live)
-            # below m DBL_MAX^{-1/p} the modular overflows: no k there is feasible
-            floor = k * np.finfo(float).max ** (-1.0 / phi.p)
-            hi = np.maximum(k * mod ** (1.0 / phi.p), floor)
-            # mod**(1/p) errs by |ln mod| times the rounding of 1/p: a root of
-            # the modular at hi, which is near 1, makes hi exact
-            c = np.add.reduce(W * phi._eval(r / hi[:, None]), axis=1, where=live)
-            lo = hi = np.where((c > 0) & (c < np.inf), np.maximum(hi * c ** (1.0 / phi.p), floor), hi)
+        # bracket the unique crossing of the modular through 1; a row that
+        # is infeasible at k doubles upward, a feasible one halves downward
+        up = ~feasible(W, live, k)
+        lo = np.where(up, k, k / 2.0)
+        hi = np.where(up, k * 2.0, k)
+        sel = np.arange(rows.size)
+        for step in range(2400):
+            if sel.size == 0:
+                break
+            u = up[sel]
+            if step == 1200 and np.any(u):
+                raise NumericError("luxemburg_norm: upper bracket not found")
+            # the bracket is found once feasibility flips from its start
+            probe = np.where(u, hi[sel], lo[sel])
+            sel = sel[feasible(W[sel], live[sel], probe) != u]
+            u = up[sel]
+            lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
+                                np.where(u, hi[sel] * 2.0, lo[sel]))
+            if np.any(hi[sel][u] > 1e290):
+                raise NumericError("luxemburg_norm: upper bracket not found")
+            zero[sel[~u & (lo[sel] < 1e-300)]] = True
+            sel = sel[~zero[sel]]
         else:
-            # bracket the unique crossing of the modular through 1; a row that
-            # is infeasible at k doubles upward, a feasible one halves downward
-            up = ~feasible(W, live, k)
-            lo = np.where(up, k, k / 2.0)
-            hi = np.where(up, k * 2.0, k)
-            sel = np.arange(rows.size)
-            for step in range(2400):
-                if sel.size == 0:
-                    break
-                u = up[sel]
-                if step == 1200 and np.any(u):
-                    raise NumericError("luxemburg_norm: upper bracket not found")
-                # the bracket is found once feasibility flips from its start
-                probe = np.where(u, hi[sel], lo[sel])
-                sel = sel[feasible(W[sel], live[sel], probe) != u]
-                u = up[sel]
-                lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
-                                    np.where(u, hi[sel] * 2.0, lo[sel]))
-                if np.any(hi[sel][u] > 1e290):
-                    raise NumericError("luxemburg_norm: upper bracket not found")
-                zero[sel[~u & (lo[sel] < 1e-300)]] = True
-                sel = sel[~zero[sel]]
-            else:
-                if sel.size:
-                    raise NumericError("luxemburg_norm: lower bracket not found")
-        if phi.kind == "tabulated":
-            hi, bisect = _newton(phi, r, W, live, lo, hi, zero)
-        # walk the closed-form and Newton norms by ulps onto the feasible side.
-        # A tabulated norm feasible at once walks down while the float below
-        # it is feasible too; one still going at the cap stopped past the
-        # root (a Newton step on knots that are not convex) and bisects.
+            if sel.size:
+                raise NumericError("luxemburg_norm: lower bracket not found")
+        norm, bisect = _newton(phi, r, W, live, lo, hi, zero)
+        # walk each Newton norm up by ulps to the feasible side, then down
+        # while the float below it is feasible too.  A row still walking at
+        # the cap (Newton stalled in rounding, or stepped past the root on
+        # knots that are not convex) bisects between the walk and its bracket.
         sel = np.flatnonzero(~bisect & ~zero)
-        down = np.full(sel.size, phi.kind == "tabulated")
+        down = np.ones(sel.size, dtype=bool)
         for _ in range(_NUDGE_CAP):
             both = np.concatenate((sel, sel[down]))
             ok = feasible(W[both], live[both], np.concatenate(
-                (hi[sel], np.nextafter(hi[sel][down], 0.0))))
+                (norm[sel], np.nextafter(norm[sel][down], 0.0))))
             up = ~ok[:sel.size]
             down[down] = ok[sel.size:]
             down &= ~up
-            hi[sel[up]] = np.nextafter(hi[sel[up]], np.inf)
-            hi[sel[down]] = np.nextafter(hi[sel[down]], 0.0)
+            norm[sel[up]] = np.nextafter(norm[sel[up]], np.inf)
+            norm[sel[down]] = np.nextafter(norm[sel[down]], 0.0)
             sel, down = sel[up | down], down[up | down]
             if sel.size == 0:
                 break
         else:
-            if not down.all():
-                raise NumericError("luxemburg_norm: norm not feasible")
+            lo[sel[~down]], hi[sel[down]] = norm[sel[~down]], norm[sel[down]]
             bisect[sel] = True
+        hi = np.where(bisect, hi, norm)
 
-        # bisect on compact copies to tol (2 ulps for Newton's leftovers)
-        rtol = tol if phi.kind == "loglog" else 0.0
-        sel = np.flatnonzero(bisect & ~zero & (hi - lo > np.maximum(rtol * (1.0 + hi), 2.0 * np.spacing(hi))))
+        # bisect on compact copies until lo and hi are adjacent floats: the
+        # midpoint of two floats that are not adjacent lies strictly between
+        sel = np.flatnonzero(bisect & ~zero & (np.nextafter(lo, np.inf) < hi))
         lo_s, hi_s, w, mask = lo[sel], hi[sel], W[sel], live[sel]
         while sel.size:
             mid = 0.5 * (lo_s + hi_s)
             ok = feasible(w, mask, mid)
             hi_s = np.where(ok, mid, hi_s)
             lo_s = np.where(ok, lo_s, mid)
-            going = hi_s - lo_s > np.maximum(rtol * (1.0 + hi_s), 2.0 * np.spacing(hi_s))
+            going = np.nextafter(lo_s, np.inf) < hi_s
             if not going.all():
                 hi[sel] = hi_s
                 sel, lo_s, hi_s = sel[going], lo_s[going], hi_s[going]
@@ -351,21 +354,17 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray,
 
 
 def _newton(phi, r, W, live, lo, hi, zero):
-    """Newton on the convex, piecewise-linear M(lam) = sum w Phi(r lam),
-    lam = 1/k, from lam = 1/lo with left slopes: they are subgradients, so
-    lam falls and the step from the root's piece lands on the root.  Returns
-    hi with k = 1/lam in each converged row, and the rows left to bisect."""
-    # index j = searchsorted(xp, s) names the piece xp[j-1] < s <= xp[j]
-    # (j = n past the last knot): its left end, value there and slope
-    slopes = np.append(np.diff(phi._fp) / np.diff(phi._xp), phi._slope)
-    x0, f0, g0 = (np.append(v[:1], v) for v in (phi._xp, phi._fp, slopes))
+    """Newton on the convex modular M(lam) = sum w Phi(r lam), lam = 1/k,
+    from lam = 1/lo with the value and left slope of _value_slope: a left
+    slope is a subgradient, so lam falls towards the root, and for a
+    piecewise-linear Phi the step from the root's piece lands on it.
+    Returns k = 1/lam where lam stopped falling, and the rows left to bisect:
+    those whose step was not finite or passed the feasible end 1/hi."""
     lam, lam_f, wr = 1.0 / lo, 1.0 / hi, W * r
     run, bisect = ~zero, np.zeros(lo.size, dtype=bool)
     for _ in range(_NEWTON_CAP):
-        s = r * lam[:, None]
-        j = np.searchsorted(phi._xp, s)
-        g = g0[j]
-        m = np.add.reduce(W * (f0[j] + g * (s - x0[j])), axis=1, where=live) - 1.0
+        val, g = phi._value_slope(r * lam[:, None])
+        m = np.add.reduce(W * val, axis=1, where=live) - 1.0
         nxt = lam - m / np.add.reduce(wr * g, axis=1, where=live)
         ok = nxt >= lam_f  # false if not finite or past the feasible end
         bisect |= run & ~ok
@@ -375,22 +374,21 @@ def _newton(phi, r, W, live, lo, hi, zero):
         lam = np.where(run, nxt, lam)
     else:  # Newton may visit every piece
         bisect |= run
-    return np.where(zero | bisect, hi, 1.0 / lam), bisect
+    return 1.0 / lam, bisect
 
 
-def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None,
-                   tol: float = 1e-12) -> float:
+def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None) -> float:
     """inf{k > 0 : int_iv Phi(|u(s)|/k) ds <= 1}, exact quadrature.
 
-    tol is the loglog kind's bisection tolerance, 2 ulps at least.  The
-    identity kind returns the L^1 norm, the power kinds their closed form and
-    the tabulated kind its Newton root, exactly; a.e.-zero u has norm 0.
+    The identity kind returns the L^1 norm; every other kind the smallest
+    float k whose modular is <= 1, with no tolerance to choose.  A.e.-zero u
+    has norm 0.
     """
     if iv is not None:
         u = restrict(u, iv)
     if not np.all(np.isfinite(u.values)):
         raise DataError("signal contains non-finite samples")
-    return float(_luxemburg_rows(phi, u.cell_norms(), u.widths[None, :], tol)[0])
+    return float(_luxemburg_rows(phi, u.cell_norms(), u.widths[None, :])[0])
 
 
 def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
@@ -404,7 +402,7 @@ def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
     if not np.all((t >= u.grid[0]) & (t <= u.grid[-1] + 1e-12)):
         raise DomainError("prefix ends must lie in the signal domain")
     W = np.maximum(np.minimum(u.grid[1:], t.reshape(-1, 1)) - u.grid[:-1], 0.0)
-    return _luxemburg_rows(phi, u.cell_norms(), W, 1e-12).reshape(t.shape)
+    return _luxemburg_rows(phi, u.cell_norms(), W).reshape(t.shape)
 
 
 def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -> float:

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import isslab
 from isslab import diagonal, mild_solver
-from isslab.cli import main
+from isslab.cli import _DISPATCH, _REQUIRED, main
 
 
 def write_config(tmp_path, name, cfg):
@@ -394,29 +395,13 @@ def test_report_lists_non_object_summary(tmp_path):
     assert "- runs: 0" in report
 
 
-@pytest.mark.parametrize("kind", ["power", "power_over_p"])
-def test_power_orlicz_norm_does_not_depend_on_tol(tmp_path, kind):
-    # the power kinds are closed form: tol only steers the bisection
-    norms = []
-    for tol in (1e-3, 1e-12):
-        cfg = write_config(tmp_path, f"{tol}.json", {
-            "command": "orlicz-norm",
-            "params": {"young": {"kind": kind, "p": 3}, "tol": tol,
-                       "signal": {"t0": 0, "t1": 2, "cells": 16, "amplitude": 1.0, "seed": 7}},
-        })
-        out = tmp_path / f"run{tol}"
-        assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        norms.append(json.loads((out / "summary.json").read_text())["norm"])
-    assert norms[0] == norms[1] > 0
-
-
 _SIGNAL = {"t0": 0, "t1": 0.2, "cells": 2, "amplitude": 1.0, "seed": 1, "d": 1,
            "zero": False}
 # one small valid config per command, each a few tens of milliseconds; they
 # give every key that the mutations should reach
 _VALID = {
     "orlicz-norm": {"young": {"kind": "power", "p": 3, "complementary": False},
-                    "signal": _SIGNAL, "tol": 1e-6},
+                    "signal": _SIGNAL},
     "simulate-diagonal": {"N": 2, "T": 0.2, "u1": _SIGNAL, "x0": [1.0, -1.0],
                           "tol": 1e-8, "quad_h": 1e-3, "full_state": True,
                           "oracle_tol": 1e-6},
@@ -519,6 +504,8 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": 2, "d": 2**62}}),
     ("orlicz-norm", {"signal": {**_SIGNAL, "cells": 2**62}}),
     ("audit-iss", {"cells": 2**62, "cases": 1}),
+    # the norm has no tolerance to set
+    ("orlicz-norm", {"tol": 1e-6}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}
@@ -544,6 +531,19 @@ def test_overflowing_fp_model_exits_3(command, change):
     assert code == 3, err
     assert len(err.splitlines()) == 1, err
     assert json.loads(err)["error"] == "numeric"
+
+
+def test_readme_params_table_matches_dispatch():
+    # each row of the README's command table names the required keys and
+    # the optional ones (each followed by its default in parentheses)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| ([^|]*) \| ([^|]*) \|$", readme, re.M)
+    documented = {command: (set(re.findall(r"`(\w+)`", req)), set(re.findall(r"`(\w+)` \(", opt)))
+                  for command, req, opt in rows}
+    assert documented == {
+        command: ({k for k, v in table.items() if v[2] is _REQUIRED},
+                  {k for k, v in table.items() if v[2] is not _REQUIRED})
+        for command, (_, table) in _DISPATCH.items()}
 
 
 def test_summary_echoes_params_as_given(tmp_path):
