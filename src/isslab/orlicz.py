@@ -175,9 +175,9 @@ def legendre_transform(phi: YoungFunction, s):
     s is a scalar (returns a float) or an array (returns an array of the
     same shape).  The objective is concave in t for convex Phi, so the grid
     argmax brackets each maximizer and golden-section refinement converges;
-    every element runs its own refinement and stops at its own tolerance.
-    The grid spans t in [1e-12, 1e290]; an element whose argmax is the
-    first grid point searches again on [1e-300, 1e-11] with a relative stop.
+    every element runs its own refinement until its bracket is 1e-14 of its
+    upper end wide.  The grid spans t in [1e-12, 1e290]; an element whose
+    argmax is the first grid point searches again on [1e-300, 1e-11].
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
@@ -186,19 +186,19 @@ def legendre_transform(phi: YoungFunction, s):
     live = np.flatnonzero(s_arr.ravel() != 0.0)
     sv = s_arr.ravel()[live]
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, i = _legendre_search(phi, sv, np.logspace(-12, 290, 3000), 1.0)
+        vals, i = _legendre_search(phi, sv, np.logspace(-12, 290, 3000))
         low = np.flatnonzero(i == 0)
         if low.size:
-            vals[low] = _legendre_search(phi, sv[low], np.logspace(-300, -11, 3000), 0.0)[0]
+            vals[low] = _legendre_search(phi, sv[low], np.logspace(-300, -11, 3000))[0]
     out[live] = vals
     out = out.reshape(s_arr.shape)
     return out if out.ndim else float(out)
 
 
-def _legendre_search(phi: YoungFunction, sv: np.ndarray, t: np.ndarray, floor: float):
+def _legendre_search(phi: YoungFunction, sv: np.ndarray, t: np.ndarray):
     """max over t >= 0 of sv*t - Phi(t), one per element of sv, and the grid
     argmax index: golden section on the grid cells around the argmax until
-    b - a <= 1e-14 (floor + b).  The caller owns the floating-point state."""
+    b - a <= 1e-14 b.  The caller owns the floating-point state."""
     i = np.empty(sv.size, dtype=np.intp)
     best = np.empty(sv.size)
     pt = phi._eval(t)
@@ -227,7 +227,7 @@ def _legendre_search(phi: YoungFunction, sv: np.ndarray, t: np.ndarray, floor: f
         a[k], c[k], fc[k] = c[k], d[k], fd[k]
         d[k] = a[k] + invphi * (b[k] - a[k])
         fd[k] = sv[k] * d[k] - phi._eval(d[k])
-        run = run[b[run] - a[run] > 1e-14 * (floor + b[run])]
+        run = run[b[run] - a[run] > 1e-14 * b[run]]
     # fmax skips a NaN objective, as the scalar max() did
     return np.fmax(np.fmax(np.fmax(best, fc), fd), 0.0), i
 

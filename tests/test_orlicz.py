@@ -113,7 +113,7 @@ def _legendre_one(phi, s):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = s * d - phi(d)
-        if b - a <= 1e-14 * (1.0 + b):
+        if b - a <= 1e-14 * b:
             break
     return float(max(best, fc, fd, 0.0))
 
@@ -145,12 +145,13 @@ def test_complementary_knots_match_per_knot_transform(comp_loglog):
 def test_complementary_power_knots_below_the_grid(p):
     # s^p has its maximizers t = (s/p)^{1/(p-1)} below 1e-12 at the small
     # knots (s < 0.066 for p = 1.1), where the transform (p-1)(s/p)^q is tiny
-    # but positive
+    # but positive; a search stop relative to the maximizer keeps every knot
+    # accurate, where one absolute below t = 1 left knots 1e-6 off
     knots = complementary(YoungFunction.power(p)).knots
     s, vals = knots[:, 0], knots[:, 1]
     assert s.size == 512 and np.all(vals > 0)
     exact = (p - 1.0) * (s / p) ** (p / (p - 1.0))
-    assert np.max(np.abs(vals - exact) / exact) <= 1e-5
+    assert np.max(np.abs(vals - exact) / exact) <= 1e-14
 
 
 def test_tabulated_conjugate_interpolation_accuracy():
