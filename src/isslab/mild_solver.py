@@ -190,6 +190,8 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != model.dim:
         raise DataError(f"x0 has dimension {x0.size}, model expects {model.dim}")
+    if not np.all(np.isfinite(x0)):
+        raise DataError(f"x0 must be finite, got {x0}")
     for name, u in (("u1", u1), ("u2", u2)):
         if u is not None and (u.domain.t0 > 0 or u.domain.t1 < T):
             raise DomainError(f"{name} must be defined on all of [0, {T}]")

@@ -204,6 +204,15 @@ def test_solver_arguments_must_be_positive_and_finite(name, value):
         solve_mild(scalar_model(-1.0), [1.0], None, None, **args)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_initial_state_must_be_finite(x0):
+    # rejected before any window: no ladder of Picard attempts, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="x0 must be finite"):
+            solve_mild(scalar_model(-1.0), [x0], None, None, 1.0)
+
+
 def test_blowup_detection(monkeypatch):
     # x' = x + 2 x = 3x grows like e^{3t} and crosses the threshold
     m = scalar_model(1.0)
