@@ -251,8 +251,7 @@ def example3_admissibility(N: int) -> dict:
 
     Each shifted mode kernel mu_n e^{-(2^n - 1) s} is majorized by a
     piecewise-constant envelope whose L_{Phi~} Luxemburg norm c_n is the
-    smallest float whose modular is <= 1, with no tolerance; the Hoelder
-    pairing then gives
+    smallest feasible float, with no tolerance; the Hoelder pairing gives
 
         C_B1 = 2 * sqrt(sum_n c_n^2),
 

@@ -62,10 +62,9 @@ class YoungFunction:
     knots: np.ndarray | None = field(default=None, compare=False)
     # tabulated kinds compare and hash by their knot values
     _knot_values: tuple | None = field(default=None, init=False, repr=False)
-    # tabulated kinds, fixed at construction: piece j = searchsorted(xp, s),
-    # xp = _x0[1:] the knots pinned at the origin, has left end _x0[j], value
-    # _f0[j] and slope _g0[j]; piece 0 repeats piece 1, and the last one
-    # extrapolates above the last knot
+    # tabulated kinds: piece j = searchsorted(_x0[1:], s) of the knots pinned
+    # at the origin starts at _x0[j] with value _f0[j] and slope _g0[j]; piece
+    # 0 repeats piece 1 and the last one extrapolates above the last knot
     _x0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _f0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _g0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -266,8 +265,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
     from its largest r until the modular crosses 1, runs _newton, and walks
     the Newton norm by ulps onto the smallest feasible float.  A row Newton
     or the walk cannot finish bisects until its ends are adjacent floats and
-    returns the feasible one.
-    No row under-reports its norm; a norm below 1e-300 is 0.
+    returns the feasible one.  No row under-reports; a norm below 1e-300 is 0.
     """
     live = W > 0
     if phi.kind == "identity":
@@ -355,11 +353,10 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
 
 def _newton(phi, r, W, live, lo, hi, zero):
     """Newton on the convex modular M(lam) = sum w Phi(r lam), lam = 1/k,
-    from lam = 1/lo with the value and left slope of _value_slope: a left
-    slope is a subgradient, so lam falls towards the root, and for a
-    piecewise-linear Phi the step from the root's piece lands on it.
-    Returns k = 1/lam where lam stopped falling, and the rows left to bisect:
-    those whose step was not finite or passed the feasible end 1/hi."""
+    from lam = 1/lo with _value_slope's left slopes: they are subgradients,
+    so lam falls, and for a piecewise-linear Phi the step from the root's
+    piece lands on it.  Returns k = 1/lam, and the rows left to bisect (a
+    step not finite or past the feasible end 1/hi)."""
     lam, lam_f, wr = 1.0 / lo, 1.0 / hi, W * r
     run, bisect = ~zero, np.zeros(lo.size, dtype=bool)
     for _ in range(_NEWTON_CAP):
