@@ -328,8 +328,9 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
             sel, down = sel[up | down], down[up | down]
             if sel.size == 0:
                 break
-        else:
-            lo[sel[~down]], hi[sel[down]] = norm[sel[~down]], norm[sel[down]]
+        else:  # an upward row's last infeasible float is the one below it
+            lo[sel[~down]] = np.nextafter(norm[sel[~down]], 0.0)
+            hi[sel[down]] = norm[sel[down]]
             bisect[sel] = True
         hi = np.where(bisect, hi, norm)
 

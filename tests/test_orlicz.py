@@ -385,6 +385,24 @@ def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
     assert abs(luxemburg_norm(comp_loglog, u) - newton) <= 4 * np.spacing(newton)
 
 
+@pytest.mark.parametrize("phi", [YoungFunction.power(3.5), YoungFunction.loglog()],
+                         ids=lambda p: p.kind)
+def test_newton_stopped_below_the_root_bisects(phi, monkeypatch):
+    # a modular read 1e-9 low stops Newton about 1e6 ulps below the root,
+    # farther than the ulp walk goes: the row bisects from the walk's last
+    # infeasible float to the bracket's feasible end, onto the same norm
+    u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
+    exact = luxemburg_norm(phi, u)
+    value_slope = YoungFunction._value_slope
+
+    def low(self, s):
+        val, g = value_slope(self, s)
+        return val * (1.0 - 1e-9), g
+
+    monkeypatch.setattr(YoungFunction, "_value_slope", low)
+    assert luxemburg_norm(phi, u) == exact
+
+
 def test_tabulated_knot_values_must_not_decrease():
     with pytest.raises(DataError, match="nondecreasing"):
         YoungFunction.tabulated([[1.0, 2.0], [2.0, 1.0], [3.0, 5.0]])
