@@ -388,7 +388,7 @@ def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
 @pytest.mark.parametrize("phi", [YoungFunction.power(3.5), YoungFunction.loglog()],
                          ids=lambda p: p.kind)
 def test_newton_stopped_below_the_root_bisects(phi, monkeypatch):
-    # a modular read 1e-9 low stops Newton about 1e6 ulps below the root,
+    # a modular read 1e-9 low stops Newton millions of ulps below the root,
     # farther than the ulp walk goes: the row bisects from the walk's last
     # infeasible float to the bracket's feasible end, onto the same norm
     u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
