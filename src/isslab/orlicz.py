@@ -370,7 +370,7 @@ def _newton(phi, r, W, live, lo, hi, zero):
         if not run.any():
             break
         lam = np.where(run, nxt, lam)
-    else:  # Newton may visit every piece
+    else:  # Newton may visit every piece, or crawl for s^p at a large p
         bisect |= run
     return 1.0 / lam, bisect
 
