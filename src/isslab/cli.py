@@ -212,7 +212,7 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
 
 
 def _build_fp(params: dict) -> fp.FPModel:
-    # imported here: fokker_planck pulls in scipy.linalg and scipy.sparse
+    # imported here, so other commands skip it (and its scipy.linalg fallback)
     from . import fokker_planck as fp
     return fp.build_model(params["nu"], _parse_field(params["W"]),
                           _parse_field(params["alpha"]), params["J"])
@@ -293,7 +293,12 @@ def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
     model = _build_fp(params)
     gap = fp.spectral_gap(model)
     rho_inf = fp.stationary_density(model)
-    residual = fp.l2_norm(model, model.A @ rho_inf.values)
+    # A rho from the three bands (see FPModel)
+    A, v = model.A, rho_inf.values
+    Av = A[1] * v
+    Av[:-1] += A[0, 1:] * v[1:]
+    Av[1:] += A[2, :-1] * v[:-1]
+    residual = fp.l2_norm(model, Av)
     write_csv(
         out_dir / "results.csv",
         ["omega", "lambda0", "e0_check", "symmetry_defect", "kernel_residual"],

@@ -12,11 +12,17 @@ form with arithmetic-mean drift interpolation and half-cell boundary rows,
 
 so the trapezoid-weighted column sums vanish identically and time stepping
 conserves mass to round-off.  Both operators are stored only as their three
-bands (see FPModel).  Time integration is Crank-Nicolson with the control
-frozen per step, exact in time for piecewise-constant inputs.  A step is
+bands, a plain (3, J+1) array (see FPModel).  Time integration is
+Crank-Nicolson with the control frozen per step, exact in time for
+piecewise-constant inputs.  A step is
 (I - dt/2 L)^{-1} (I + dt/2 L) v = 2 (I - dt/2 L)^{-1} v - v, L = A + u B: one
 gttrs solve with the LU factors (gttrf) of 1/2 (I - dt/2 L), made once per run
 of equal controls, minus v.  simulate's block masses are weights^T v.
+
+The four LAPACK routines (gttrf, gttrs, stebz, stein) are called through
+ctypes in the ILP64 OpenBLAS that numpy's wheels bundle and have already
+loaded, so importing this module loads no scipy.  Where numpy exports them
+under other names, or not at all, scipy.linalg.lapack runs the same routines.
 
 The stationary density is the Gibbs kernel e^{-W/nu} (normalized); the
 decay rate toward it is the spectral gap of the generator symmetrized by
@@ -27,13 +33,13 @@ consistent with the weighted inner product.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse import dia_array
 
 from .bounds import AuditReport, audit, gamma_fp
 from .errors import ContractError, DataError, DomainError, NumericError
@@ -81,16 +87,17 @@ class DensityField:
 class FPModel:
     """Assembled discrete model: generator A (diffusion + potential drift),
     control generator B (drift along alpha), trapezoid weights.  A and B are
-    tridiagonal dia_arrays with offsets [1, 0, -1], so their .data holds
-    A[i-1, i], A[i, i], A[i+1, i] in column i."""
+    tridiagonal, stored as (3, J+1) arrays of their bands: column i holds
+    A[i-1, i], A[i, i], A[i+1, i] (the layout of scipy.sparse.dia_array's
+    data for offsets [1, 0, -1]); A[0, 0] and A[2, J] are unused zeros."""
 
     J: int
     nu: float
     grid: np.ndarray
     W: np.ndarray
     alpha: np.ndarray
-    A: dia_array
-    B: dia_array
+    A: np.ndarray
+    B: np.ndarray
     weights: np.ndarray
 
     @property
@@ -107,8 +114,9 @@ def clamp_end_slopes(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flux_operator(P: np.ndarray, nu: float, h: float, cell: np.ndarray) -> dia_array:
-    """Tridiagonal operator rho -> d/dx (nu d rho + rho dP) on cells of width cell."""
+def _flux_operator(P: np.ndarray, nu: float, h: float, cell: np.ndarray) -> np.ndarray:
+    """Bands of the tridiagonal operator rho -> d/dx (nu d rho + rho dP) on
+    cells of width cell."""
     n = P.size
     drift = np.diff(P) / h  # dP at the J faces
     # face i+1/2 coefficients: F = c_lo * rho_i + c_hi * rho_{i+1}
@@ -119,7 +127,7 @@ def _flux_operator(P: np.ndarray, nu: float, h: float, cell: np.ndarray) -> dia_
     bands[1, :-1] += c_lo / cell[:-1]
     bands[1, 1:] -= c_hi / cell[1:]  # incoming face of row i, column i
     bands[2, :-1] = -c_lo / cell[1:]  # incoming face of row i+1, column i
-    return dia_array((bands, [1, 0, -1]), shape=(n, n))
+    return bands
 
 
 def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
@@ -150,7 +158,7 @@ def build_model(nu: float, W_samples, alpha_samples, J: int) -> FPModel:
     with np.errstate(over="ignore", invalid="ignore"):
         A = _flux_operator(W, nu, h, weights)
         B = _flux_operator(alpha, 0.0, h, weights)
-    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(B.data))):
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise NumericError("operator bands overflow; reduce the increments of W or alpha")
     return FPModel(J=J, nu=nu, grid=grid, W=W, alpha=alpha, A=A, B=B, weights=weights)
 
@@ -188,26 +196,126 @@ def l2_norm(m: FPModel, v: np.ndarray) -> float:
     return float(math.sqrt(np.sum(m.weights * np.asarray(v) ** 2)))
 
 
+# ---------------------------------------------------------------------------
+# LAPACK: numpy's bundled ILP64 OpenBLAS through ctypes, else scipy's wrappers
+# ---------------------------------------------------------------------------
+
+_P, _LEN = ctypes.c_void_p, ctypes.c_size_t  # pointer; hidden length of a character
+# dgttrs has no argtypes: converting its 12 arguments on every call would
+# cost 1.5-2 us against 2.3-2.7 us for the whole J = 128 call (see _c_gttrf)
+_ARGTYPES = {"dgttrf": [_P] * 7, "dgttrs": None, "dstebz": [_P] * 18 + [_LEN] * 2,
+             "dstein": [_P] * 13}
+# gttrf(dl, d, du) -> (*lu, info) and gttrs(lu, v) -> (x, info) solve with
+# the factors; stebz(d, e, il, iu) -> (m, w, iblock, isplit, info) gives the
+# eigenvalues il..iu (1-based) in block order, stein(d, e, w[:m], iblock,
+# isplit) -> (z, info) their eigenvectors: the calls of scipy's wrappers
+_Lapack = namedtuple("_Lapack", "gttrf gttrs stebz stein")
+
+
+def _lapack_symbol(name: str):
+    """numpy's vendored LAPACK routine, exported by its scipy-openblas64
+    build as scipy_<name>_64_, or None.  PyDLL keeps the interpreter lock
+    through the call: releasing it costs more than a J = 128 solve."""
+    try:
+        return getattr(ctypes.PyDLL(np._core._multiarray_umath.__file__), f"scipy_{name}_64_")
+    except (AttributeError, OSError):
+        return None
+
+
+def _resolve() -> _Lapack:
+    """The four routines through ctypes when numpy exports every one of
+    them, else through scipy.linalg.lapack (imported only then)."""
+    fns = {name: _lapack_symbol(name) for name in _ARGTYPES}
+    if None in fns.values():
+        from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
+        return _Lapack(dgttrf, lambda lu, v: dgttrs(*lu, v),
+                       lambda d, e, il, iu: dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B"),
+                       dstein)
+    for name, fn in fns.items():
+        fn.restype, fn.argtypes = None, _ARGTYPES[name]
+    return _Lapack(partial(_c_gttrf, fns["dgttrf"], fns["dgttrs"]), _c_gttrs,
+                   partial(_c_stebz, fns["dstebz"]), partial(_c_stein, fns["dstein"]))
+
+
+# ILP64: every integer, pivots included, is an int64 passed by reference;
+# every array handed over is a contiguous float64 or int64 array
+_ref, _i64 = ctypes.byref, ctypes.c_int64
+
+
+def _c_gttrf(gttrf, gttrs, dl, d, du):
+    """gttrf on copies of the bands.  The factor holds the gttrs call on its
+    own right-hand-side buffer, every argument made once: byref of a ctypes
+    view of each array, which ctypes passes fastest and which keeps the
+    array alive."""
+    n, one, info = _i64(d.size), _i64(1), _i64()
+    arrays = (*(np.array(a, dtype=float) for a in (dl, d, du)), np.empty(d.size - 2),
+              np.empty(d.size, dtype=np.int64), np.empty(d.size))
+    gttrf(_ref(n), *(a.ctypes.data for a in arrays[:5]), _ref(info))
+    views = [_ref((ctypes.c_char * a.nbytes).from_buffer(a)) for a in arrays]
+    solve = partial(gttrs, b"N", _ref(n), _ref(one), *views, _ref(n), _ref(info), _LEN(1))
+    return solve, arrays[-1], info, info.value
+
+
+def _c_gttrs(lu, v):
+    """Solve with the factor after copying v (any strides) into its buffer;
+    x is that buffer, valid until the factor's next solve."""
+    solve, b, info = lu
+    b[...] = v
+    solve()
+    return b, info.value
+
+
+def _c_stebz(stebz, d, e, il, iu):
+    d, e = (np.ascontiguousarray(a, dtype=float) for a in (d, e))
+    n = d.size
+    w, iblock, isplit = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
+    size, lo, hi, m, nsplit, info = (_i64(k) for k in (n, il, iu, 0, 0, 0))
+    zero = ctypes.c_double(0.0)  # vl and vu (unused for range I) and abstol
+    stebz(b"I", b"B", _ref(size), _ref(zero), _ref(zero), _ref(lo), _ref(hi), _ref(zero),
+          d.ctypes.data, e.ctypes.data, _ref(m), _ref(nsplit), w.ctypes.data,
+          iblock.ctypes.data, isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data,
+          _ref(info), 1, 1)
+    return m.value, w, iblock, isplit, info.value
+
+
+def _c_stein(stein, d, e, w, iblock, isplit):
+    d, e, w = (np.ascontiguousarray(a, dtype=float) for a in (d, e, w))
+    n, m = d.size, w.size
+    z = np.empty((m, n))  # column-major n x m
+    work, iwork, ifail = np.empty(5 * n), np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64)
+    size, count, info = _i64(n), _i64(m), _i64()
+    stein(_ref(size), d.ctypes.data, e.ctypes.data, _ref(count), w.ctypes.data,
+          iblock.ctypes.data, isplit.ctypes.data, z.ctypes.data, _ref(size),
+          work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, _ref(info))
+    return z.T, info.value
+
+
+_LAPACK = _resolve()
+
 # states that simulate holds between its per-block checks and reductions;
 # fixed, so memory does not grow with T/dt
 _BLOCK_ROWS = 32
 
 
-def _cn_factor(m: FPModel, u_cell: float, dt: float) -> list:
+def _cn_factor(m: FPModel, u_cell: float, dt: float):
     """LU factors (LAPACK gttrf) of 1/2 (I - dt/2 (A + u_cell B)), the one
     operator a Crank-Nicolson step needs; callers hold np.errstate."""
-    quarter = 0.25 * dt * (m.A.data + u_cell * m.B.data)
+    quarter = 0.25 * dt * (m.A + u_cell * m.B)
     if not np.all(np.isfinite(quarter)):
         raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
-    *lu, info = dgttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
+    *lu, info = _LAPACK.gttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
     if info != 0:
         raise NumericError(f"Crank-Nicolson matrix is singular (gttrf info {info}); reduce dt")
     return lu
 
 
-def _cn_solve(lu: list, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _cn_solve(lu, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One unchecked Crank-Nicolson step after v: a gttrs solve minus v."""
-    return np.subtract(dgttrs(*lu, v)[0], v, out=out)
+    x, info = _LAPACK.gttrs(lu, v)
+    if info != 0:
+        raise NumericError(f"Crank-Nicolson solve failed (gttrs info {info})")
+    return np.subtract(x, v, out=out)
 
 
 def _finite(states: np.ndarray) -> np.ndarray:
@@ -240,7 +348,7 @@ def spectral_gap(m: FPModel) -> dict:
     the angle between the computed kernel vector and the predicted e^{-Phi/2}.
     """
     dsq = np.sqrt(m.weights)
-    bands = m.A.data
+    bands = m.A
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi_vec = math.log(m.nu) + (m.W - np.min(m.W)) / m.nu
         mvec = np.exp(0.5 * phi_vec)
@@ -254,10 +362,15 @@ def spectral_gap(m: FPModel) -> dict:
     if not (math.isfinite(norm2) and np.all(np.isfinite(e0_pred))):
         raise NumericError("spectral_gap: e^{Phi/2} over- or underflows; nu or |W|/nu too large")
     defect = math.sqrt(2.0 * np.sum((upper - lower) ** 2) / norm2)
-    n = diag.size
-    vals, vecs = eigh_tridiagonal(
-        diag, 0.5 * (upper + lower), select="i", select_range=(n - 2, n - 1)
-    )
+    # the top two eigenpairs as scipy's eigh_tridiagonal(select="i") gets them
+    off, n = 0.5 * (upper + lower), diag.size
+    found, w, iblock, isplit, info = _LAPACK.stebz(diag, off, n - 1, n)
+    if info == 0:
+        vecs, info = _LAPACK.stein(diag, off, w[:found], iblock, isplit)
+    if info != 0:
+        raise NumericError(f"spectral_gap: tridiagonal eigensolver failed (info {info})")
+    order = np.argsort(w[:found])
+    vals, vecs = w[order], vecs[:, order]
     lam0 = vals[-1]
     omega = float(abs(vals[-2]))
     if omega <= 0:

@@ -25,6 +25,12 @@ def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
     return m * float(np.sum(u.widths * (r / m) ** p) ** (1.0 / p))
 
 
+def dense(bands: np.ndarray) -> np.ndarray:
+    """The square tridiagonal matrix of (3, n) bands in dia_array layout:
+    column i holds M[i-1, i], M[i, i], M[i+1, i]."""
+    return np.diag(bands[0, 1:], 1) + np.diag(bands[1]) + np.diag(bands[2, :-1], -1)
+
+
 def read_csv(path) -> np.ndarray:
     """The rows of a numeric CSV artifact below its header, as floats."""
     with open(path, newline="") as fh:

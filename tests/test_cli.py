@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isslab
-from isslab import diagonal, mild_solver
+from isslab import diagonal, fokker_planck, mild_solver
 from isslab.cli import _DISPATCH, _REQUIRED, main
 
 
@@ -252,13 +252,22 @@ def test_malformed_field_spec_exits_2(tmp_path, capsys, W):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse",
-                                    "jsonschema"])
-def test_cli_import_defers_scipy_integrate(module):
+_VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._ARGTYPES)
+
+
+@pytest.mark.parametrize("entry, module", [
+    *(pytest.param("isslab.cli", m, id=m)
+      for m in ["scipy.integrate", "scipy.linalg", "scipy.sparse", "jsonschema"]),
+    # fokker_planck runs its LAPACK through numpy's bundled OpenBLAS
+    *(pytest.param("isslab.fokker_planck", m, id=f"fokker_planck-{m}", marks=pytest.mark.skipif(
+        not _VENDORED_LAPACK, reason="numpy exports no LAPACK: the scipy fallback runs"))
+      for m in ["scipy.linalg", "scipy.sparse", "scipy"]),
+])
+def test_cli_import_defers_scipy_integrate(entry, module):
     src = str(Path(isslab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    code = f"import sys, isslab.cli; sys.exit({module!r} in sys.modules)"
+    code = f"import sys, {entry}; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import dia_array
 
 from isslab import fokker_planck as fp
 from isslab.errors import ContractError, DataError, DomainError, NumericError
 from isslab.signals import Interval, Signal, random_signal
+from reference import dense
 
 
 def uniform_model(J=64, nu=1.0):
@@ -59,7 +59,7 @@ def test_banded_operators_match_dense_reference(J, nu, w_coeffs, a_coeffs, u, dt
     A_ref = dense_flux_operator(W, nu, m.h)
     B_ref = dense_flux_operator(alpha, 0.0, m.h)
     for op, ref in ((m.A, A_ref), (m.B, B_ref)):
-        assert np.max(np.abs(op.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(dense(op) - ref)) <= 1e-14 * np.max(np.abs(ref))
     rho = fp.DensityField(x, 1.0 + 0.5 * np.cos(np.pi * x))
     after = fp.step(m, rho, u, dt)
     ref = dense_cn_step(A_ref + u * B_ref, rho.values, dt)
@@ -180,17 +180,17 @@ def test_density_field_mass_is_computed_not_given():
 
 def test_operator_mass_identities(fp_bench):
     w = fp_bench.weights
-    assert np.max(np.abs(w @ fp_bench.A)) <= 1e-13
-    assert np.max(np.abs(w @ fp_bench.B)) <= 1e-13
+    assert np.max(np.abs(w @ dense(fp_bench.A))) <= 1e-13
+    assert np.max(np.abs(w @ dense(fp_bench.B))) <= 1e-13
 
 
 def test_neumann_laplacian_limits():
     m = uniform_model()
     rho = np.ones(m.J + 1)
-    assert np.max(np.abs(m.A @ rho)) <= 1e-12
+    assert np.max(np.abs(dense(m.A) @ rho)) <= 1e-12
     # interior rows reduce to the standard second difference
     v = np.cos(np.pi * m.grid)
-    interior = (m.A @ v)[1:-1]
+    interior = (dense(m.A) @ v)[1:-1]
     h = m.h
     ref = (v[:-2] - 2 * v[1:-1] + v[2:]) / h**2
     assert np.allclose(interior, ref, atol=1e-10)
@@ -213,14 +213,14 @@ def test_kernel_residual_second_order():
     res = []
     for J in (64, 128, 256):
         m = fp.build_model(0.5, lambda x: np.cos(2 * np.pi * x) / 2, lambda x: 0 * x, J)
-        res.append(fp.l2_norm(m, m.A @ fp.stationary_density(m).values))
+        res.append(fp.l2_norm(m, dense(m.A) @ fp.stationary_density(m).values))
     slopes = [math.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(1.8 <= s <= 2.2 for s in slopes), slopes
 
 
 def test_step_fixes_stationary_density(fp_bench):
     rho = fp.discrete_stationary_density(fp_bench)
-    assert np.max(np.abs(fp_bench.A @ rho.values)) <= 1e-11
+    assert np.max(np.abs(dense(fp_bench.A) @ rho.values)) <= 1e-11
     after = fp.step(fp_bench, rho, 0.0, 1e-2)
     assert np.max(np.abs(after.values - rho.values)) <= 1e-10
     # the continuum equilibrium agrees with the discrete kernel to O(h^2)
@@ -304,7 +304,7 @@ def test_step_numeric_errors(fp_bench):
     n, dt = fp_bench.J + 1, 0.5
     bands = np.zeros((3, n))
     bands[1] = 2.0 / dt
-    singular = replace(fp_bench, A=dia_array((bands, [1, 0, -1]), shape=(n, n)))
+    singular = replace(fp_bench, A=bands)
     with pytest.raises(NumericError, match="singular"):
         fp.step(singular, rho, 0.0, dt)
 
@@ -419,3 +419,92 @@ def test_input_energy_is_zero_outside_domain():
     assert np.array_equal(energies, [0.0, 0.5, 5.0, 5.0])
     assert fp._input_energy(None, 3.0) == 0.0
 
+
+
+# --- the two LAPACK routes: numpy's bundled OpenBLAS and the scipy fallback
+
+
+def _routes():
+    """(route at import, scipy fallback), the fallback forced by a symbol
+    lookup that finds nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fp, "_lapack_symbol", lambda name: None)
+        return fp._LAPACK, fp._resolve()
+
+
+def on_both_routes(run):
+    """run() on each LAPACK route, its arrays as bytes or its NumericError."""
+    out = []
+    for route in _routes():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fp, "_LAPACK", route)
+            try:
+                result = run()
+            except NumericError as exc:
+                result = str(exc)
+        out.append(result if isinstance(result, str) else
+                   [np.asarray(r).tobytes() for r in result])
+    return out
+
+
+vendored = pytest.mark.skipif(fp._LAPACK.gttrs is not fp._c_gttrs,
+                              reason="numpy exports no LAPACK: only the scipy route runs")
+
+
+def fp_long_model(J):
+    x = np.linspace(0.0, 1.0, J + 1)
+    m = fp.build_model(0.5, np.cos(2 * np.pi * x) / 2, fp.clamp_end_slopes(np.sin(np.pi * x)), J)
+    return m, fp.DensityField(x, fp.stationary_density(m).values + 0.2 * np.cos(np.pi * x))
+
+
+@vendored
+@pytest.mark.parametrize("J", [128, 512])
+def test_routes_give_the_same_bits(J):
+    m, rho0 = fp_long_model(J)
+    u = random_signal(0, 1, Interval(0.0, 1.0), 20, 1.0)
+    ctypes_run, scipy_run = on_both_routes(lambda: (
+        *fp.simulate(m, rho0, u, 1.0, 1e-3),
+        fp.step(m, rho0, 0.7, 1e-2).values,
+        list(fp.spectral_gap(m).values()),
+    ))
+    assert ctypes_run == scipy_run
+
+
+@vendored
+@settings(deadline=None, max_examples=40)
+@given(J=st.integers(16, 1024), u=st.floats(-3.0, 3.0), dt=st.floats(1e-4, 1.0))
+def test_routes_factor_and_solve_alike(J, u, dt):
+    m, rho0 = fp_long_model(J)
+
+    def solve():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [fp._cn_solve(fp._cn_factor(m, u, dt), rho0.values)]
+
+    ctypes_run, scipy_run = on_both_routes(solve)
+    assert ctypes_run == scipy_run
+
+
+def test_lapack_failures_are_numeric_errors(fp_bench, monkeypatch):
+    rho = fp.discrete_stationary_density(fp_bench)
+    route = fp._LAPACK
+    monkeypatch.setattr(fp, "_LAPACK", route._replace(gttrs=lambda lu, v: (v, -9)))
+    with pytest.raises(NumericError, match="gttrs info -9"):
+        fp.step(fp_bench, rho, 0.0, 1e-3)
+    monkeypatch.setattr(fp, "_LAPACK", route._replace(stebz=lambda d, e, il, iu: (0, d, d, d, 4)))
+    with pytest.raises(NumericError, match="info 4"):
+        fp.spectral_gap(fp_bench)
+    monkeypatch.setattr(fp, "_LAPACK", route._replace(stein=lambda d, e, w, ib, isp: (None, 1)))
+    with pytest.raises(NumericError, match="info 1"):
+        fp.spectral_gap(fp_bench)
+
+
+def test_strided_density_steps_like_its_copy(fp_bench):
+    # every second node of a 2J+1 grid: a view that LAPACK must never see
+    fine = np.linspace(0.0, 1.0, 2 * fp_bench.J + 1)
+    strided = fp.DensityField(fine[::2], (1.0 + 0.3 * np.cos(np.pi * fine))[::2])
+    assert not strided.values.flags.c_contiguous
+    copy = fp.DensityField(fp_bench.grid, strided.values.copy())
+    u = random_signal(5, 1, Interval(0.0, 0.1), 3, 1.0)
+    runs = [[fp.step(fp_bench, rho, 0.7, 1e-3).values, *fp.simulate(fp_bench, rho, u, 0.1, 1e-3)]
+            for rho in (strided, copy)]
+    assert [a.tobytes() for a in runs[0]] == [a.tobytes() for a in runs[1]]
