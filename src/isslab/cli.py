@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, bounds, diagonal
 from .errors import DataError, IsslabError, NumericError
@@ -204,9 +203,9 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     errs = np.max(np.abs(traj.states - oracle.states), axis=1).tolist()
     traj.to_csv(out_dir / "trajectory.csv", full_state=params["full_state"])
     write_csv(out_dir / "results.csv", ["t", "norm", "oracle_error"],
-              np.column_stack([traj.grid, traj.norms, errs]).tolist())
-    # the oracle distance combines the fixed-point tolerance with the
-    # quadrature error of the convolution
+              np.column_stack([traj.grid, traj.norms, errs]))
+    # the oracle distance combines the fixed-point tolerance with the quadrature
+    # error; quad_error_estimate is the trapezoid error before extrapolation
     ok = max(errs) <= params["oracle_tol"]
     return {**traj.to_json(), "max_oracle_error": max(errs), "pass": bool(ok)}
 
@@ -222,17 +221,14 @@ def _cmd_simulate_fp(params: dict, seed, out_dir: Path) -> dict:
     from . import fokker_planck as fp
     model = _build_fp(params)
     u = _parse_signal(params["u"], seed) if params["u"] else None
-    rho_inf = fp.stationary_density(model)
-    rho0 = rho_inf
+    rho0 = rho_inf = fp.stationary_density(model)
     if params["rho0_modes"]:
-        pert = sum(
-            c * np.cos((k + 1) * np.pi * model.grid)
-            for k, c in enumerate(params["rho0_modes"])
-        )
+        pert = sum(c * np.cos((k + 1) * np.pi * model.grid)
+                   for k, c in enumerate(params["rho0_modes"]))
         rho0 = fp.DensityField(model.grid, rho_inf.values + pert)
     times, devs, masses = fp.simulate(model, rho0, u, params["T"], params["dt"])
     write_csv(out_dir / "trajectory.csv", ["t", "deviation", "mass"],
-              np.column_stack([times, devs, masses]).tolist())
+              np.column_stack([times, devs, masses]))
     drift = float(np.max(np.abs(masses - 1.0)))
     write_csv(out_dir / "results.csv", ["max_mass_drift"], [[drift]])
     return {"max_mass_drift": drift, "n_steps": int(times.size - 1),
@@ -263,11 +259,8 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
         rep = bounds.audit(traj, rhs, tol=params["tol"])
         rows.append([i, case_seed, x0_norm, rep.max_violation,
                      rep.min_slack_ratio, rep.passed])
-    write_csv(
-        out_dir / "results.csv",
-        ["case", "seed", "x0_norm", "max_violation", "min_slack_ratio", "pass"],
-        rows,
-    )
+    write_csv(out_dir / "results.csv",
+              ["case", "seed", "x0_norm", "max_violation", "min_slack_ratio", "pass"], rows)
     n_pass = sum(1 for r in rows if r[-1])
     return {"C_B1": c_b1, "cases": n_cases, "n_pass": n_pass,
             "pass": n_pass == n_cases}
@@ -275,15 +268,10 @@ def _cmd_audit_iss(params: dict, seed, out_dir: Path) -> dict:
 
 def _cmd_admissibility_scan(params: dict, seed, out_dir: Path) -> dict:
     rows = diagonal.lp_admissibility_scan(params["p"], params["N_list"], params["t"])
-    write_csv(
-        out_dir / "results.csv",
-        ["N", "value", "log10_value"],
-        [[r["N"], r["constant"], r["log10_constant"]] for r in rows],
-    )
-    monotone = all(
-        rows[i + 1]["log10_constant"] >= rows[i]["log10_constant"]
-        for i in range(len(rows) - 1)
-    )
+    write_csv(out_dir / "results.csv", ["N", "value", "log10_value"],
+              [[r["N"], r["constant"], r["log10_constant"]] for r in rows])
+    logs = [r["log10_constant"] for r in rows]
+    monotone = all(b >= a for a, b in zip(logs, logs[1:]))
     return {"max_log10_constant": rows[-1]["log10_constant"],
             "monotone_growth": monotone, "pass": True}
 
@@ -299,12 +287,9 @@ def _cmd_fp_gap(params: dict, seed, out_dir: Path) -> dict:
     Av[:-1] += A[0, 1:] * v[1:]
     Av[1:] += A[2, :-1] * v[:-1]
     residual = fp.l2_norm(model, Av)
-    write_csv(
-        out_dir / "results.csv",
-        ["omega", "lambda0", "e0_check", "symmetry_defect", "kernel_residual"],
-        [[gap["omega"], gap["lambda0"], gap["e0_check"],
-          gap["symmetry_defect"], residual]],
-    )
+    write_csv(out_dir / "results.csv",
+              ["omega", "lambda0", "e0_check", "symmetry_defect", "kernel_residual"],
+              [[gap["omega"], gap["lambda0"], gap["e0_check"], gap["symmetry_defect"], residual]])
     return {"omega": gap["omega"], "lambda0": gap["lambda0"],
             "e0_check": gap["e0_check"], "kernel_residual": residual, "pass": True}
 
@@ -320,7 +305,7 @@ _DISPATCH = {
         "young": (_YOUNG, None, _REQUIRED), "signal": (_SIGNAL, None, _REQUIRED)}),
     "simulate-diagonal": (_cmd_simulate_diagonal, {
         "N": _N, "T": _T, "u1": (_SIGNAL, None, None), "x0": (_NUMS, None, None),
-        "tol": (_NUM, None, 1e-8), "quad_h": (_NUM, None, 5e-4),
+        "tol": (_NUM, None, 1e-8), "quad_h": (_NUM, None, 2e-3),
         "full_state": (_BOOL, None, False), "oracle_tol": (_NUM, 0, 1e-6)}),
     "simulate-fp": (_cmd_simulate_fp, {
         **_FP, "T": _T, "dt": (_NUM, None, _REQUIRED),
@@ -352,12 +337,12 @@ def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> i
         "seed": eff_seed,
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "params": config["params"],
-        "versions": {"isslab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "python": ".".join(map(str, sys.version_info[:3]))},
     }
-    result = cmd(params, eff_seed, out_dir)
-    summary.update(result)
+    summary.update(cmd(params, eff_seed, out_dir))
+    # scipy is reported only when the run loaded it
+    summary["versions"] = {"isslab": __version__, "numpy": np.__version__,
+                           "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
+                           "python": ".".join(map(str, sys.version_info[:3]))}
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -381,13 +366,8 @@ def report(run_dirs: list[Path], out_dir: Path) -> int:
                      bool(s.get("pass", True))])
     write_csv(out_dir / "aggregate.csv", ["run_dir", "command", "seed", "pass"], rows)
     n_pass = sum(1 for r in rows if r[-1])
-    lines = [
-        "# Run aggregate",
-        "",
-        f"- runs: {len(rows)}",
-        f"- passed: {n_pass}",
-        f"- failed: {len(rows) - n_pass}",
-    ]
+    lines = ["# Run aggregate", "", f"- runs: {len(rows)}", f"- passed: {n_pass}",
+             f"- failed: {len(rows) - n_pass}"]
     if missing:
         lines.append(f"- missing summaries: {', '.join(missing)}")
     lines += ["", "| run | command | seed | pass |", "|---|---|---|---|"]
@@ -403,9 +383,7 @@ def _fail(error: str, detail, code: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="isslab",
-        description="ISS numerical laboratory for bilinear control systems",
-    )
+        prog="isslab", description="ISS numerical laboratory for bilinear control systems")
     sub = parser.add_subparsers(dest="mode", required=True)
     p_run = sub.add_parser("run", help="execute one experiment config")
     p_run.add_argument("--config", required=True)

@@ -176,11 +176,15 @@ def _allocate(make, *args) -> np.ndarray:
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write a CSV artifact: floats with 17 significant digits, so that
-    they read back exactly, and every other cell with str."""
+    they read back exactly, and every other cell with str.  A 2-d float
+    ndarray of rows is formatted in one pass, to the same bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype == float and rows.ndim == 2:
+            n, c = rows.shape
+            fh.write(("%.17g," * (c - 1) + "%.17g\r\n") * n % tuple(rows.ravel().tolist()))
+            return
         writer.writerows(
             [f"{x:.17g}" if isinstance(x, float) else str(x) for x in row] for row in rows
         )
-

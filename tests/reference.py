@@ -1,6 +1,6 @@
 """Independent reference implementations that tests compare the library
-against: the exact L^p norm of a piecewise-constant signal and a reader for
-the CSV artifacts of write_csv."""
+against: the exact L^p norm of a piecewise-constant signal, and a writer and
+a reader for the CSV artifacts of write_csv."""
 
 import csv
 import math
@@ -36,3 +36,13 @@ def read_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return np.array([[float(x) for x in row] for row in rows[1:]])
+
+
+def write_csv_rows(path, header: list[str], rows) -> None:
+    """The CSV artifact of write_csv, every row through csv.writer: floats
+    with 17 significant digits, every other cell with str."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row]
+                         for row in rows)

@@ -109,6 +109,24 @@ def test_simulate_diagonal_artifacts(tmp_path):
     assert header == "t,norm,oracle_error"
 
 
+@pytest.mark.parametrize("seed", [46, 60, 80, 137])
+def test_oracle_workload_seeds_pass(tmp_path, seed):
+    # N=8, T=4 on the default grid; these seeds missed the 1e-6 oracle bound
+    # with the plain trapezoid rule at quad_h 5e-4
+    cfg = write_config(tmp_path, "c.json", {"command": "simulate-diagonal", "params": {
+        "N": 8, "T": 4.0, "oracle_tol": 1e-6,
+        "u1": {"t0": 0.0, "t1": 4.0, "cells": 24, "amplitude": 1.0, "seed": 0}}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", str(seed),
+                     "--quiet"]) == 0
+    summary = json.loads((a / "summary.json").read_text())
+    assert summary["status"] == "complete" and summary["max_oracle_error"] <= 1e-6
+    assert 0.0 < summary["quad_error_estimate"] < math.inf
+    # quad_error_estimate included, the summary is byte-identical across runs
+    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
 def test_simulate_diagonal_blowup_summary(tmp_path, monkeypatch):
     # u1 = 5 makes the modes grow like e^{8t}; a threshold of 10 cuts the run short
     monkeypatch.setattr(mild_solver, "BLOWUP_THRESHOLD", 10.0)
@@ -258,6 +276,7 @@ _VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._
 @pytest.mark.parametrize("entry, module", [
     *(pytest.param("isslab.cli", m, id=m)
       for m in ["scipy.integrate", "scipy.linalg", "scipy.sparse", "jsonschema"]),
+    pytest.param("isslab.cli", "scipy"),
     # fokker_planck runs its LAPACK through numpy's bundled OpenBLAS
     *(pytest.param("isslab.fokker_planck", m, id=f"fokker_planck-{m}", marks=pytest.mark.skipif(
         not _VENDORED_LAPACK, reason="numpy exports no LAPACK: the scipy fallback runs"))
@@ -269,6 +288,22 @@ def test_cli_import_defers_scipy_integrate(entry, module):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     code = f"import sys, {entry}; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_versions_name_scipy_only_when_the_run_loaded_it(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"command": "orlicz-norm", "params": {
+        "young": {"kind": "identity"}, "signal": {"t0": 0, "t1": 1, "constant": 1.0}}})
+    src = str(Path(isslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    fresh = tmp_path / "fresh"
+    subprocess.run([sys.executable, "-m", "isslab.cli", "run", "--config", cfg,
+                    "--out", str(fresh), "--quiet"], env=env, check=True)
+    assert json.loads((fresh / "summary.json").read_text())["versions"]["scipy"] is None
+    import scipy
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "loaded"), "--quiet"]) == 0
+    versions = json.loads((tmp_path / "loaded" / "summary.json").read_text())["versions"]
+    assert versions["scipy"] == scipy.__version__
 
 
 def test_simulate_fp_command(tmp_path):

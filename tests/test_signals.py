@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isslab.errors import DataError, DomainError
 from isslab.orlicz import YoungFunction, luxemburg_norm
 from isslab.signals import Interval, Signal, random_signal, restrict, write_csv
-from reference import lp_norm, read_csv
+from reference import lp_norm, read_csv, write_csv_rows
 
 
 def test_interval_validation():
@@ -81,6 +82,25 @@ def test_write_csv_cell_format(tmp_path):
     ]
     write_csv(path, ["f", "i"], [[0.1, 2], [1e-300, -7]])
     assert np.array_equal(read_csv(path), np.array([[0.1, 2.0], [1e-300, -7.0]]))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@example(rows=np.array([_EDGE_FLOATS, _EDGE_FLOATS[::-1]]))
+@given(hnp.arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                  elements=st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))))
+def test_write_csv_float_array_matches_csv_writer(tmp_path_factory, rows):
+    """A float ndarray, formatted in one pass, gives the bytes of csv.writer
+    over its rows as Python floats.  Drawn: 0..6 rows of 1..6 columns, any
+    double, and 0, -0, the smallest subnormal, +-inf, nan and the largest
+    double by name; the explicit example holds all seven in one table."""
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "fast.csv", header, rows)
+    write_csv_rows(d / "ref.csv", header, rows.tolist())
+    assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 
 def test_restrict_identity_and_clip():
