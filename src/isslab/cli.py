@@ -339,7 +339,7 @@ def run(config: dict, out_dir: Path, seed: int | None, config_bytes: bytes) -> i
         "params": config["params"],
     }
     summary.update(cmd(params, eff_seed, out_dir))
-    # scipy is reported only when the run loaded it
+    # filled after the command, so that scipy is named only if the run loaded it
     summary["versions"] = {"isslab": __version__, "numpy": np.__version__,
                            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
                            "python": ".".join(map(str, sys.version_info[:3]))}
