@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, DomainError, NumericError
-from .orlicz import YoungFunction, prefix_luxemburg_norms
 from .signals import _EXP_OVERFLOW, Signal
+if TYPE_CHECKING:
+    from .orlicz import YoungFunction
 
 __all__ = [
     "BoundParams",
@@ -119,8 +121,8 @@ def gamma2(s: float) -> float:
 def gamma_fp(C: float, r):
     """K-infinity gain of the Fokker-Planck ISS estimate; r is a scalar
     (returns a float) or an array (returns an array of the same shape)."""
-    if C <= 0:
-        raise DomainError("gamma_fp needs C > 0")
+    if not 0.0 < C < math.inf:
+        raise DomainError(f"gamma_fp needs a finite C > 0, got {C}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("gamma_fp needs r >= 0")
@@ -139,6 +141,7 @@ def gamma_fp(C: float, r):
 def _input_norm(phi: YoungFunction, u: Signal | None, t) -> np.ndarray:
     """||u||_{E_Phi(0,t)} for every horizon in t, from one batched
     prefix-norm solve; a horizon t > 0 needs u to start at 0."""
+    from .orlicz import prefix_luxemburg_norms  # here: fokker_planck computes no norm
     t = np.asarray(t, dtype=float)
     if u is None or not np.any(t > 0.0):
         return np.zeros(t.shape)

@@ -205,7 +205,7 @@ def _cmd_simulate_diagonal(params: dict, seed, out_dir: Path) -> dict:
     write_csv(out_dir / "results.csv", ["t", "norm", "oracle_error"],
               np.column_stack([traj.grid, traj.norms, errs]))
     # the oracle distance combines the fixed-point tolerance with the quadrature
-    # error; quad_error_estimate is the trapezoid error before extrapolation
+    # error, far below quad_error_estimate, the trapezoid error before extrapolation
     ok = max(errs) <= params["oracle_tol"]
     return {**traj.to_json(), "max_oracle_error": max(errs), "pass": bool(ok)}
 

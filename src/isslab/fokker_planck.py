@@ -44,7 +44,7 @@ import numpy as np
 from .bounds import AuditReport, audit, gamma_fp
 from .errors import ContractError, DataError, DomainError, NumericError
 from .mild_solver import Trajectory
-from .signals import Signal
+from .signals import _EXP_OVERFLOW, Signal
 
 __all__ = [
     "FPModel",
@@ -201,15 +201,16 @@ def l2_norm(m: FPModel, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _P, _LEN = ctypes.c_void_p, ctypes.c_size_t  # pointer; hidden length of a character
-# dgttrs has no argtypes: converting its 12 arguments on every call would
-# cost 1.5-2 us against 2.3-2.7 us for the whole J = 128 call (see _c_gttrf)
-_ARGTYPES = {"dgttrf": [_P] * 7, "dgttrs": None, "dstebz": [_P] * 18 + [_LEN] * 2,
+# dgttrf and dgttrs have no argtypes: converting dgttrs's 12 arguments on
+# every call would cost 1.5-2 us against 2.3-2.7 us for the whole J = 128 call
+_ARGTYPES = {"dgttrf": None, "dgttrs": None, "dstebz": [_P] * 18 + [_LEN] * 2,
              "dstein": [_P] * 13}
-# gttrf(dl, d, du) -> (*lu, info) and gttrs(lu, v) -> (x, info) solve with
-# the factors; stebz(d, e, il, iu) -> (m, w, iblock, isplit, info) gives the
-# eigenvalues il..iu (1-based) in block order, stein(d, e, w[:m], iblock,
-# isplit) -> (z, info) their eigenvectors: the calls of scipy's wrappers
-_Lapack = namedtuple("_Lapack", "gttrf gttrs stebz stein")
+# tridiagonal(arrays, info) binds gttrf and gttrs, in place on arrays (dl, d,
+# du, du2, ipiv, b) and with LAPACK's info in info, as calls of no arguments;
+# stebz(d, e, il, iu) -> (m, w, iblock, isplit, info) gives the eigenvalues
+# il..iu (1-based) in block order, stein(d, e, w[:m], iblock, isplit) ->
+# (z, info) their eigenvectors
+_Lapack = namedtuple("_Lapack", "tridiagonal stebz stein")
 
 
 def _lapack_symbol(name: str):
@@ -228,12 +229,23 @@ def _resolve() -> _Lapack:
     fns = {name: _lapack_symbol(name) for name in _ARGTYPES}
     if None in fns.values():
         from scipy.linalg.lapack import dgttrf, dgttrs, dstebz, dstein
-        return _Lapack(dgttrf, lambda lu, v: dgttrs(*lu, v),
+
+        def tridiagonal(arrays, info):
+            (dl, d, du, _, _, b), lu = arrays, []
+
+            def factor():
+                *lu[:], info.value = dgttrf(dl, d, du)
+
+            def solve():
+                b[...], info.value = dgttrs(*lu, b)
+            return factor, solve
+
+        return _Lapack(tridiagonal,
                        lambda d, e, il, iu: dstebz(d, e, 2, 0.0, 1.0, il, iu, 0.0, "B"),
                        dstein)
     for name, fn in fns.items():
         fn.restype, fn.argtypes = None, _ARGTYPES[name]
-    return _Lapack(partial(_c_gttrf, fns["dgttrf"], fns["dgttrs"]), _c_gttrs,
+    return _Lapack(partial(_c_tridiagonal, fns["dgttrf"], fns["dgttrs"]),
                    partial(_c_stebz, fns["dstebz"]), partial(_c_stein, fns["dstein"]))
 
 
@@ -242,27 +254,13 @@ def _resolve() -> _Lapack:
 _ref, _i64 = ctypes.byref, ctypes.c_int64
 
 
-def _c_gttrf(gttrf, gttrs, dl, d, du):
-    """gttrf on copies of the bands.  The factor holds the gttrs call on its
-    own right-hand-side buffer, every argument made once: byref of a ctypes
-    view of each array, which ctypes passes fastest and which keeps the
-    array alive."""
-    n, one, info = _i64(d.size), _i64(1), _i64()
-    arrays = (*(np.array(a, dtype=float) for a in (dl, d, du)), np.empty(d.size - 2),
-              np.empty(d.size, dtype=np.int64), np.empty(d.size))
-    gttrf(_ref(n), *(a.ctypes.data for a in arrays[:5]), _ref(info))
-    views = [_ref((ctypes.c_char * a.nbytes).from_buffer(a)) for a in arrays]
-    solve = partial(gttrs, b"N", _ref(n), _ref(one), *views, _ref(n), _ref(info), _LEN(1))
-    return solve, arrays[-1], info, info.value
-
-
-def _c_gttrs(lu, v):
-    """Solve with the factor after copying v (any strides) into its buffer;
-    x is that buffer, valid until the factor's next solve."""
-    solve, b, info = lu
-    b[...] = v
-    solve()
-    return b, info.value
+def _c_tridiagonal(gttrf, gttrs, arrays, info):
+    """gttrf's and gttrs's calls on byref of a ctypes view of each array,
+    which ctypes passes fastest and which keeps the array alive."""
+    n, views = _ref(_i64(arrays[1].size)), [_ref((ctypes.c_char * a.nbytes).from_buffer(a))
+                                            for a in arrays]
+    return (partial(gttrf, n, *views[:-1], _ref(info)),
+            partial(gttrs, b"N", n, _ref(_i64(1)), *views, n, _ref(info), _LEN(1)))
 
 
 def _c_stebz(stebz, d, e, il, iu):
@@ -293,29 +291,42 @@ def _c_stein(stein, d, e, w, iblock, isplit):
 
 _LAPACK = _resolve()
 
-# states that simulate holds between its per-block checks and reductions;
-# fixed, so memory does not grow with T/dt
-_BLOCK_ROWS = 32
+
+def _block_rows(n: int) -> int:
+    """States of n nodes per simulate block: at most the bytes of 32 states
+    at J = 512, in a multiple of 32 (whose reductions keep the bits of
+    32-state blocks, as 31 or 127 states do not)."""
+    return 32 * max(1, 513 // n)
 
 
-def _cn_factor(m: FPModel, u_cell: float, dt: float):
-    """LU factors (LAPACK gttrf) of 1/2 (I - dt/2 (A + u_cell B)), the one
-    operator a Crank-Nicolson step needs; callers hold np.errstate."""
-    quarter = 0.25 * dt * (m.A + u_cell * m.B)
-    if not np.all(np.isfinite(quarter)):
-        raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
-    *lu, info = _LAPACK.gttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
-    if info != 0:
-        raise NumericError(f"Crank-Nicolson matrix is singular (gttrf info {info}); reduce dt")
-    return lu
+def _cn_workspace(m: FPModel, dt: float):
+    """factor(u), which refills and factors the bands of 1/2 (I - dt/2 (A +
+    u B)) in place, and advance(v, out), the unchecked step after v (a gttrs
+    solve minus v) into out, on one run's workspace; callers hold errstate."""
+    n, info, quarter = m.J + 1, _i64(), np.empty((3, m.J + 1))
+    dl, d, du, du2, b = map(np.empty, (n - 1, n, n - 1, n - 2, n))
+    gttrf, gttrs = _LAPACK.tridiagonal((dl, d, du, du2, np.empty(n, dtype=np.int64), b), info)
 
+    def factor(u_cell: float) -> None:
+        q = np.multiply(m.B, u_cell, out=quarter)
+        np.multiply(0.25 * dt, np.add(m.A, q, out=q), out=q)
+        if not np.all(np.isfinite(q)):
+            raise NumericError("Crank-Nicolson matrix overflows; reduce the control or dt")
+        np.negative(q[2, :-1], out=dl)
+        np.subtract(0.5, q[1], out=d)
+        np.negative(q[0, 1:], out=du)
+        gttrf()
+        if info.value != 0:
+            raise NumericError(f"Crank-Nicolson matrix is singular (gttrf info {info.value}); "
+                               "reduce dt")
 
-def _cn_solve(lu, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One unchecked Crank-Nicolson step after v: a gttrs solve minus v."""
-    x, info = _LAPACK.gttrs(lu, v)
-    if info != 0:
-        raise NumericError(f"Crank-Nicolson solve failed (gttrs info {info})")
-    return np.subtract(x, v, out=out)
+    def advance(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        b[...] = v
+        gttrs()
+        if info.value != 0:
+            raise NumericError(f"Crank-Nicolson solve failed (gttrs info {info.value})")
+        return np.subtract(b, v, out=out)
+    return factor, advance
 
 
 def _finite(states: np.ndarray) -> np.ndarray:
@@ -331,8 +342,10 @@ def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityFiel
         raise DomainError("dt must be > 0")
     if rho.values.size != m.J + 1:
         raise DataError(f"density has {rho.values.size} nodes, the model {m.J + 1}")
+    factor, advance = _cn_workspace(m, dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        new = _cn_solve(_cn_factor(m, u_cell, dt), rho.values)
+        factor(u_cell)
+        new = advance(rho.values, np.empty(m.J + 1))
     return DensityField(m.grid, _finite(new))
 
 
@@ -410,65 +423,79 @@ def simulate(m: FPModel, rho0: DensityField, u: Signal | None, T: float,
         raise DomainError(f"T/dt = {T / dt:.3g} steps do not fit in memory") from exc
     dt = T / n_steps
     controls = u.value_at(times[:-1] + 0.5 * dt)[:, 0] if u is not None else np.zeros(n_steps)
-    rows = np.empty((_BLOCK_ROWS, m.J + 1))  # state i is row i % _BLOCK_ROWS
+    n_rows = _block_rows(m.J + 1)
+    rows = np.empty((n_rows, m.J + 1))  # state i is row i % n_rows
     rows[0] = v = rho0.values
-    u_factored = None
+    factor, advance = _cn_workspace(m, dt)
+    # the steps of a run of equal controls share one factor
+    starts, row_views = (np.flatnonzero(controls[1:] != controls[:-1]) + 1).tolist(), list(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, u_cell in enumerate(controls.tolist(), start=1):
-            if u_cell != u_factored:
-                lu, u_factored = _cn_factor(m, u_cell, dt), u_cell
-            r = i % _BLOCK_ROWS
-            v = _cn_solve(lu, v, out=rows[r])
-            if r == _BLOCK_ROWS - 1 or i == n_steps:
-                block = _finite(rows[:r + 1])
-                devs[i - r:i + 1] = np.sqrt(((block - rho_inf) ** 2) @ m.weights)
-                masses[i - r:i + 1] = block @ m.weights
+        for first, stop in zip([0, *starts], [*starts, n_steps]):
+            factor(controls[first])
+            for i in range(first + 1, stop + 1):
+                r = i % n_rows
+                v = advance(v, row_views[r])
+                if r == n_rows - 1 or i == n_steps:
+                    # a last state after 32k is reduced alone, as in blocks of 32:
+                    # numpy reduces one row by dot, not gemv
+                    for lo, hi in ((0, r), (r, r + 1)) if r % 32 == 0 < r else ((0, r + 1),):
+                        block, at = _finite(rows[lo:hi]), slice(i - r + lo, i - r + hi)
+                        devs[at] = np.sqrt(((block - rho_inf) ** 2) @ m.weights)
+                        masses[at] = block @ m.weights
     return times, devs, masses
 
 
 def _input_energy(u: Signal | None, t):
     """Exact int_0^t ||u(s)||^2 ds for piecewise-constant u, taken as zero
-    outside its domain; t is a time or an array of times."""
+    outside its domain: the running energy, linear between breakpoints; t is
+    a time or an array of times."""
     if u is None:
         return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-    power = Signal(u.grid, np.sum(u.values**2, axis=1, keepdims=True))
-    energy = power.integral(np.clip(t, u.grid[0], u.grid[-1]))[..., 0]
-    return float(energy) if np.ndim(t) == 0 else energy
-
-
-def _rhs_curve(times: np.ndarray, dev0: float, energies: np.ndarray,
-               C: float, omega: float) -> np.ndarray:
-    decay = C * np.exp(-omega * times) * (dev0 + dev0**2)
-    return decay + gamma_fp(C, energies)
+    at_knots = np.concatenate(([0.0], np.cumsum(u.widths * np.sum(u.values**2, axis=1))))
+    return np.interp(t, u.grid, at_knots)
 
 
 def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> float:
     """Smallest C (times a safety margin) such that every training run
     satisfies dev(t) <= C e^{-omega t}(dev0 + dev0^2) + gamma_fp(C, energy(t)).
 
-    runs is a list of (times, devs, energies); the right-hand side is
-    increasing in C, so the per-point minimal C is found by bisection.
+    runs is a list of (times, devs, energies), devs and energies >= 0; the
+    right-hand side is then increasing in C, so each run's minimal C is found
+    by bisection, which drops a point once it holds where its run fails.
     """
-    if margin < 1.0:
-        raise DomainError("margin must be >= 1")
+    if not 1.0 <= margin < math.inf:
+        raise DomainError(f"margin must be finite and >= 1, got {margin}")
+    if not 0.0 < omega < math.inf:
+        raise ContractError(f"fit_gain_constant needs a finite omega > 0, got {omega}")
     need = 1e-6
     for times, devs, energies in runs:
-        dev0 = devs[0]
+        devs, r = np.asarray(devs, dtype=float), np.asarray(energies, dtype=float)
+        if np.any(devs < 0) or np.any(r < 0):
+            raise DomainError("fit_gain_constant needs devs and energies >= 0")
+        scale, root = devs[0] + devs[0]**2, np.sqrt(r)
+        # the points still checked; the largest sqrt(r) meets gamma_fp's guard first
+        pts = np.array([np.exp(-omega * np.asarray(times)), devs, r, root])
+        top = np.fmax.reduce(root)
+
+        def holds(C: float) -> bool:
+            nonlocal pts
+            if C * top > _EXP_OVERFLOW:
+                raise NumericError("gamma_fp: exponent C*sqrt(r) exceeds overflow guard")
+            decay, dev, e, rt = pts  # gamma_fp's terms below in its order
+            held = dev <= C * decay * scale + (C * e * np.exp(C * rt) + C * rt + C * e)
+            if held.all():
+                return True
+            pts = pts[:, ~held]
+            return False
+
         lo, hi = 0.0, 1.0
-        for _ in range(200):
-            rhs = _rhs_curve(times, dev0, energies, hi, omega)
-            if np.all(devs <= rhs):
-                break
+        while not holds(hi):
             hi *= 2.0
             if hi > 1e12:
                 raise NumericError("fit_gain_constant: no finite C fits the data")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            rhs = _rhs_curve(times, dev0, energies, mid, omega)
-            if np.all(devs <= rhs):
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
         need = max(need, hi)
     return margin * need
 
@@ -487,7 +514,7 @@ def run_fp_iss_experiment(m: FPModel, rho0: DensityField, u: Signal | None,
     if omega is None:
         omega = spectral_gap(m)["omega"]
     times, devs, _ = simulate(m, rho0, u, T, dt)
-    rhs = _rhs_curve(times, devs[0], _input_energy(u, times), fitC, omega)
-    traj = Trajectory(times, devs.reshape(-1, 1))
-    return audit(traj, rhs, tol=tol)
+    gain = gamma_fp(fitC, _input_energy(u, times))
+    rhs = fitC * np.exp(-omega * times) * (devs[0] + devs[0]**2) + gain
+    return audit(Trajectory(times, devs.reshape(-1, 1)), rhs, tol=tol)
 

@@ -99,7 +99,7 @@ class Trajectory:
     status is 'complete' or 'blowup'; in the latter case t_blowup holds the
     first grid time whose norm exceeded the blow-up threshold.
     quad_error_estimate is solve_mild's max |x_{h/2} - x_h| / 3 over the run,
-    the error of the trapezoid rule that its Richardson step removes.
+    the error of its trapezoid solve before extrapolation, not of the states.
     """
 
     grid: np.ndarray

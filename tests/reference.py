@@ -1,13 +1,15 @@
 """Independent reference implementations that tests compare the library
-against: the exact L^p norm of a piecewise-constant signal, and a writer and
-a reader for the CSV artifacts of write_csv."""
+against: the exact L^p norm of a piecewise-constant signal, a writer and a
+reader for the CSV artifacts of write_csv, a Crank-Nicolson step that factors
+on every call, and the gain-constant bisection over every point of a run."""
 
 import csv
 import math
 
 import numpy as np
 
-from isslab.errors import DomainError
+from isslab.bounds import gamma_fp
+from isslab.errors import DomainError, NumericError
 from isslab.signals import Interval, Signal, restrict
 
 
@@ -46,3 +48,46 @@ def write_csv_rows(path, header: list[str], rows) -> None:
         writer.writerow(header)
         writer.writerows([f"{x:.17g}" if isinstance(x, float) else str(x) for x in row]
                          for row in rows)
+
+
+def cn_step(m, v: np.ndarray, u_cell: float, dt: float) -> np.ndarray:
+    """One Crank-Nicolson step after v, 2 (I - dt/2 L)^{-1} v - v with
+    L = A + u_cell B: scipy's gttrf of 1/2 (I - dt/2 L), made for this call
+    alone, one gttrs solve and one subtraction (the LAPACK calls, and so the
+    bits, of fokker_planck.step)."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+    quarter = 0.25 * dt * (m.A + u_cell * m.B)
+    *lu, info = dgttrf(-quarter[2, :-1], 0.5 - quarter[1], -quarter[0, 1:])
+    assert info == 0
+    x, info = dgttrs(*lu, v)
+    assert info == 0
+    return x - v
+
+
+def fit_gain_constant_bisection(runs, omega: float, margin: float = 1.5) -> float:
+    """fokker_planck.fit_gain_constant's bisection with every point of a run
+    checked at every C: the smallest C (times margin) with dev(t) <= C
+    e^{-omega t}(dev0 + dev0^2) + gamma_fp(C, energy(t)) on every run."""
+    need = 1e-6
+    for times, devs, energies in runs:
+        dev0 = devs[0]
+
+        def holds(C):
+            rhs = C * np.exp(-omega * times) * (dev0 + dev0**2) + gamma_fp(C, energies)
+            return bool(np.all(devs <= rhs))
+
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            if holds(hi):
+                break
+            hi *= 2.0
+            if hi > 1e12:
+                raise NumericError("fit_gain_constant: no finite C fits the data")
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if holds(mid):
+                hi = mid
+            else:
+                lo = mid
+        need = max(need, hi)
+    return margin * need

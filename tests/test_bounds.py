@@ -76,6 +76,9 @@ def test_gamma_fp_values():
     vals = [gamma_fp(0.7, r) for r in grid]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert np.array_equal(gamma_fp(0.7, grid), vals)
+    for C in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite C > 0"):
+            gamma_fp(C, grid)
 
 
 def test_iss_rhs_reduces_to_pieces():

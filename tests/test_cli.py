@@ -281,6 +281,8 @@ _VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._
     *(pytest.param("isslab.fokker_planck", m, id=f"fokker_planck-{m}", marks=pytest.mark.skipif(
         not _VENDORED_LAPACK, reason="numpy exports no LAPACK: the scipy fallback runs"))
       for m in ["scipy.linalg", "scipy.sparse", "scipy"]),
+    # bounds imports orlicz only for the Orlicz norms that fokker_planck never takes
+    pytest.param("isslab.fokker_planck", "isslab.orlicz", id="fokker_planck-orlicz"),
 ])
 def test_cli_import_defers_scipy_integrate(entry, module):
     src = str(Path(isslab.__file__).resolve().parents[1])

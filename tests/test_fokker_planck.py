@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isslab import fokker_planck as fp
 from isslab.errors import ContractError, DataError, DomainError, NumericError
 from isslab.signals import Interval, Signal, random_signal
-from reference import dense
+from reference import cn_step, dense, fit_gain_constant_bisection
 
 
 def uniform_model(J=64, nu=1.0):
@@ -262,17 +262,18 @@ def test_step_time_accuracy(fp_bench):
 
 
 def stepped_reference(m, rho0, u, T, n):
-    """simulate's record, rebuilt from n public step calls."""
+    """simulate's record, rebuilt from n reference steps that factor on
+    every call."""
     dt = T / n
     times = np.linspace(0.0, T, n + 1)
     rho_inf = fp.discrete_stationary_density(m).values
-    rho, devs, masses = rho0, [], []
+    v, devs, masses = rho0.values, [], []
     for t in times:
-        devs.append(fp.l2_norm(m, rho.values - rho_inf))
-        masses.append(rho.mass)
+        devs.append(fp.l2_norm(m, v - rho_inf))
+        masses.append(np.trapezoid(v, m.grid))
         if t < T:
             u_cell = 0.0 if u is None else u.value_at([t + 0.5 * dt])[0, 0]
-            rho = fp.step(m, rho, u_cell, dt)
+            v = cn_step(m, v, u_cell, dt)
     return times, np.array(devs), np.array(masses)
 
 
@@ -288,7 +289,8 @@ def test_simulate_matches_stepping(fp_bench, u, T, dt):
     rho0 = fp.DensityField(x, fp.stationary_density(fp_bench).values + 0.2 * np.cos(np.pi * x))
     times, devs, masses = fp.simulate(fp_bench, rho0, u, T, dt)
     n = times.size - 1
-    assert n > fp._BLOCK_ROWS and (n + 1) % fp._BLOCK_ROWS != 0  # last block partial
+    rows = fp._block_rows(fp_bench.J + 1)
+    assert n > rows and (n + 1) % rows != 0  # last block partial
     ref_times, ref_devs, ref_masses = stepped_reference(fp_bench, rho0, u, T, n)
     assert times.tobytes() == ref_times.tobytes()
     assert np.max(np.abs(devs - ref_devs) / ref_devs) <= 1e-13
@@ -399,6 +401,84 @@ def test_iss_experiment_pipeline(fp_bench):
     assert not bad.passed
 
 
+@st.composite
+def training_runs(draw):
+    """fit_gain_constant's runs: unequal lengths, deviations over twenty
+    decades (a zero first one now and then), and energies that are zero,
+    small, or past gamma_fp's overflow guard, or now and then negative."""
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, n - 1))))
+        devs = rng.uniform(0.0, 1.0, n) * draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3, 1e14]))
+        if draw(st.booleans()):
+            devs[0] = 0.0
+        energies = np.cumsum(rng.uniform(0.0, 1.0, n))
+        energies *= draw(st.sampled_from([0.0, 1e-3, 1.0, 100.0, 1e6]))
+        if draw(st.integers(0, 9)) == 0:
+            energies[draw(st.integers(0, n - 1))] = -1.0
+        runs.append((times, devs, energies))
+    return runs
+
+
+def _fit_outcome(fit):
+    """The fitted constant, or the type of the error the fit raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fit()
+    except (DomainError, NumericError) as exc:
+        return type(exc)
+
+
+_T5 = np.linspace(0.0, 2.0, 5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(runs=training_runs(), omega=st.sampled_from([0.3, 2.0, 11.9]),
+       margin=st.sampled_from([1.0, 1.5]))
+# runs of unequal length, one of them under the curve at C = 1
+@example(runs=[(_T5[:1], np.array([0.3]), np.zeros(1)),
+               (_T5, np.array([0.3, 0.2, 0.1, 0.05, 0.02]), _T5)], omega=2.0, margin=1.5)
+# zero input energy: the decay term alone must hold
+@example(runs=[(_T5, np.array([0.5, 0.4, 0.3, 0.3, 0.3]), np.zeros(5))], omega=2.0, margin=1.5)
+# no C up to 1e12 fits a rise from zero without input
+@example(runs=[(_T5, np.array([0.0, 0.1, 0.1, 0.1, 0.1]), np.zeros(5))], omega=2.0, margin=1.5)
+# C sqrt(energy) passes gamma_fp's overflow guard at C = 1
+@example(runs=[(_T5, np.ones(5), np.full(5, 1e6))], omega=2.0, margin=1.5)
+# a negative energy
+@example(runs=[(_T5, np.ones(5), np.array([0.0, 1.0, -1.0, 2.0, 3.0]))], omega=2.0, margin=1.5)
+def test_fit_gain_constant_matches_full_set_bisection(fp_bench, runs, omega, margin):
+    # dropping the points that hold where their run fails leaves every bit
+    # of the fitted constant, and every error, as the bisection over all points
+    got = _fit_outcome(lambda: fp.fit_gain_constant(fp_bench, runs, omega, margin))
+    assert got == _fit_outcome(lambda: fit_gain_constant_bisection(runs, omega, margin))
+
+
+def test_gain_arguments_must_be_finite(fp_bench):
+    run = (_T5, np.exp(-_T5), _T5)
+    for margin in (0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="margin"):
+            fp.fit_gain_constant(fp_bench, [run], 2.0, margin)
+    for omega in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="omega"):
+            fp.fit_gain_constant(fp_bench, [run], omega)
+    # deviations are norms: a negative one would make the bound fall with C
+    with pytest.raises(DomainError, match="devs"):
+        fp.fit_gain_constant(fp_bench, [(_T5, -np.exp(-_T5), _T5)], 2.0)
+    equil = fp.discrete_stationary_density(fp_bench)
+    for C in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite C > 0"):
+            fp.run_fp_iss_experiment(fp_bench, equil, None, 0.1, 1e-3, C, omega=2.0)
+
+
+@pytest.mark.parametrize("J", [64, 128, 512])
+def test_step_gives_the_bits_of_a_fresh_factor(J):
+    m, rho0 = fp_long_model(J)
+    for u, dt in ((0.7, 1e-2), (0.0, 1e-3), (-2.0, 0.5)):
+        assert fp.step(m, rho0, u, dt).values.tobytes() == cn_step(m, rho0.values, u, dt).tobytes()
+
+
 def test_simulate_ends_at_horizon(fp_bench):
     # dt that does not divide T: uniform steps of at most dt, ending at T
     equil = fp.discrete_stationary_density(fp_bench)
@@ -447,7 +527,7 @@ def on_both_routes(run):
     return out
 
 
-vendored = pytest.mark.skipif(fp._LAPACK.gttrs is not fp._c_gttrs,
+vendored = pytest.mark.skipif(None in map(fp._lapack_symbol, fp._ARGTYPES),
                               reason="numpy exports no LAPACK: only the scipy route runs")
 
 
@@ -477,8 +557,10 @@ def test_routes_factor_and_solve_alike(J, u, dt):
     m, rho0 = fp_long_model(J)
 
     def solve():
+        factor, advance = fp._cn_workspace(m, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            return [fp._cn_solve(fp._cn_factor(m, u, dt), rho0.values)]
+            factor(u)
+            return [advance(rho0.values, np.empty(J + 1))]
 
     ctypes_run, scipy_run = on_both_routes(solve)
     assert ctypes_run == scipy_run
@@ -487,9 +569,22 @@ def test_routes_factor_and_solve_alike(J, u, dt):
 def test_lapack_failures_are_numeric_errors(fp_bench, monkeypatch):
     rho = fp.discrete_stationary_density(fp_bench)
     route = fp._LAPACK
-    monkeypatch.setattr(fp, "_LAPACK", route._replace(gttrs=lambda lu, v: (v, -9)))
-    with pytest.raises(NumericError, match="gttrs info -9"):
-        fp.step(fp_bench, rho, 0.0, 1e-3)
+
+    def failing(which, code):
+        """The route with its gttrf (which = 0) or gttrs (1) call replaced
+        by one that reports info = code."""
+        def tridiagonal(arrays, info):
+            calls = list(route.tridiagonal(arrays, info))
+            calls[which] = lambda: setattr(info, "value", code)
+            return calls
+        return route._replace(tridiagonal=tridiagonal)
+
+    for which, code, message in ((0, 3, "gttrf info 3"), (1, -9, "gttrs info -9")):
+        monkeypatch.setattr(fp, "_LAPACK", failing(which, code))
+        with pytest.raises(NumericError, match=message):
+            fp.step(fp_bench, rho, 0.0, 1e-3)
+        with pytest.raises(NumericError, match=message):
+            fp.simulate(fp_bench, rho, None, 0.1, 1e-3)
     monkeypatch.setattr(fp, "_LAPACK", route._replace(stebz=lambda d, e, il, iu: (0, d, d, d, 4)))
     with pytest.raises(NumericError, match="info 4"):
         fp.spectral_gap(fp_bench)
