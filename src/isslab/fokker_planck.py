@@ -338,8 +338,8 @@ def _finite(states: np.ndarray) -> np.ndarray:
 def step(m: FPModel, rho: DensityField, u_cell: float, dt: float) -> DensityField:
     """One Crank-Nicolson step of d rho/dt = (A + u B) rho with the control
     frozen at u_cell."""
-    if dt <= 0:
-        raise DomainError("dt must be > 0")
+    if not 0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     if rho.values.size != m.J + 1:
         raise DataError(f"density has {rho.values.size} nodes, the model {m.J + 1}")
     factor, advance = _cn_workspace(m, dt)
@@ -472,6 +472,8 @@ def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> fl
         devs, r = np.asarray(devs, dtype=float), np.asarray(energies, dtype=float)
         if np.any(devs < 0) or np.any(r < 0):
             raise DomainError("fit_gain_constant needs devs and energies >= 0")
+        if not np.size(times) == devs.size == r.size:
+            raise DataError("a run's times, devs and energies differ in length")
         scale, root = devs[0] + devs[0]**2, np.sqrt(r)
         # the points still checked; the largest sqrt(r) meets gamma_fp's guard first
         pts = np.array([np.exp(-omega * np.asarray(times)), devs, r, root])
@@ -502,17 +504,17 @@ def fit_gain_constant(m: FPModel, runs, omega: float, margin: float = 1.5) -> fl
 
 def run_fp_iss_experiment(m: FPModel, rho0: DensityField, u: Signal | None,
                           T: float, dt: float, fitC: float,
-                          omega: float | None = None,
+                          omega: float,
                           tol: float = 1e-6) -> AuditReport:
     """Audit one run against the ISS estimate
 
         dev(t) <= C e^{-omega t}(dev(0) + dev(0)^2) + gamma_fp(C, int ||u||^2)
 
-    with omega the computed spectral gap and C = fitC."""
+    with omega the spectral gap (see spectral_gap) and C = fitC."""
     if abs(rho0.mass - 1.0) > 1e-10:
         raise DomainError(f"rho0 must have mass 1 (got {rho0.mass})")
-    if omega is None:
-        omega = spectral_gap(m)["omega"]
+    if not 0.0 < omega < math.inf:
+        raise ContractError(f"run_fp_iss_experiment needs a finite omega > 0, got {omega}")
     times, devs, _ = simulate(m, rho0, u, T, dt)
     gain = gamma_fp(fitC, _input_energy(u, times))
     rhs = fitC * np.exp(-omega * times) * (devs[0] + devs[0]**2) + gain

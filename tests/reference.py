@@ -1,7 +1,8 @@
 """Independent reference implementations that tests compare the library
 against: the exact L^p norm of a piecewise-constant signal, a writer and a
 reader for the CSV artifacts of write_csv, a Crank-Nicolson step that factors
-on every call, and the gain-constant bisection over every point of a run."""
+on every call, the gain-constant bisection over every point of a run, and
+Simpson's rule for the integral of the k_n certificate."""
 
 import csv
 import math
@@ -9,8 +10,10 @@ import math
 import numpy as np
 
 from isslab.bounds import gamma_fp
+from isslab.diagonal import KN_CONSTANT
 from isslab.errors import DomainError, NumericError
-from isslab.signals import Interval, Signal, restrict
+from isslab.orlicz import YoungFunction
+from isslab.signals import _EXP_OVERFLOW, Interval, Signal, restrict
 
 
 def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
@@ -91,3 +94,22 @@ def fit_gain_constant_bisection(runs, omega: float, margin: float = 1.5) -> floa
                 lo = mid
         need = max(need, hi)
     return margin * need
+
+
+def kn_integral_simpson(n: int, t: float, cells: int = 16000) -> float:
+    """int_0^t Phi~((2^n/(k_n n)) e^{-2^n s}) ds, the integral that
+    diagonal.verify_kn_bound takes in closed form, by Simpson's rule after
+    the substitution sigma = 2^n s, which resolves the boundary layer at
+    s = 0; t may be inf."""
+    from scipy.integrate import simpson
+    k_n = math.log(KN_CONSTANT * n) / n
+    log_rate = n * math.log(2.0)
+    log_amp = log_rate - math.log(k_n * n)
+    # beyond sigma_max the argument underflows and Phi~ vanishes
+    sigma_max = log_amp + 745.0
+    if log_rate + math.log(t) < math.log(sigma_max):
+        sigma_max = math.exp(log_rate) * t
+    sig = np.linspace(0.0, sigma_max, cells + 1)
+    with np.errstate(under="ignore"):
+        vals = YoungFunction.loglog()(np.exp(np.minimum(log_amp - sig, _EXP_OVERFLOW)))
+    return float(simpson(vals, x=sig)) * math.exp(-log_rate)

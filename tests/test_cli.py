@@ -275,7 +275,7 @@ _VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._
 
 @pytest.mark.parametrize("entry, module", [
     *(pytest.param("isslab.cli", m, id=m)
-      for m in ["scipy.integrate", "scipy.linalg", "scipy.sparse", "jsonschema"]),
+      for m in ["scipy.integrate", "scipy.special", "scipy.linalg", "scipy.sparse", "jsonschema"]),
     pytest.param("isslab.cli", "scipy"),
     # fokker_planck runs its LAPACK through numpy's bundled OpenBLAS
     *(pytest.param("isslab.fokker_planck", m, id=f"fokker_planck-{m}", marks=pytest.mark.skipif(
@@ -384,6 +384,17 @@ def test_admissibility_scan_command(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "N,value,log10_value"
     assert len(lines) == 5
+
+
+def test_admissibility_scan_past_n1023(tmp_path):
+    # 2^n overflows a double at n = 1024; the scan's log-space constants do not
+    cfg = write_config(tmp_path, "c.json", {
+        "command": "admissibility-scan", "params": {"p": 2.0, "N_list": [5, 1100]}})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [5, 1100] and all(map(math.isfinite, rows[1]))
 
 
 def test_report_aggregation(tmp_path):
@@ -552,6 +563,8 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("audit-iss", {"cells": 2**62, "cases": 1}),
     # the norm has no tolerance to set
     ("orlicz-norm", {"tol": 1e-6}),
+    # more modes than numpy can allocate
+    ("admissibility-scan", {"N_list": [2**62]}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}

@@ -17,6 +17,7 @@ from isslab.diagonal import (
 )
 from isslab.errors import DataError, DomainError, NumericError
 from isslab.signals import Interval, Signal, random_signal
+from reference import kn_integral_simpson
 
 
 def test_example3_model_values():
@@ -193,10 +194,61 @@ def test_lp_admissibility_scan_closed_form():
     assert all(b >= a for a, b in zip(logs, logs[1:]))
 
 
+@pytest.mark.parametrize("t", [1.0, 0.37, math.inf])
+def test_verify_kn_bound_matches_simpson_reference(t):
+    for n in range(2, 61):
+        got = verify_kn_bound(n, t)["integral"]
+        assert got == pytest.approx(kn_integral_simpson(n, t), rel=1e-6), n
+
+
+def test_verify_kn_bound_passes_up_to_n900():
+    for t in (1.0, math.inf):
+        for n in range(2, 901):
+            result = verify_kn_bound(n, t)
+            assert result["pass"] and 0.0 < result["integral"] <= 1.0, (n, t, result)
+    for n, t in ((901, 1.0), (5, math.nan)):
+        with pytest.raises(DomainError):
+            verify_kn_bound(n, t)
+
+
+def _log10_mode_at_inf(p, n):
+    """log10 of mu_n ||e^{lambda_n .}||_{L^q(0,inf)} = q^{-1/q} 2^{n/p}/n
+    (2^n/n at p = 1), with q^{-1/q} = r^r for r = 1/q = 1 - 1/p."""
+    r = 1.0 - 1.0 / p
+    return n / p * math.log10(2.0) - math.log10(n) + (r * math.log10(r) if r else 0.0)
+
+
+@pytest.mark.parametrize("p, t", [(2.0, 1.0), (2.0, 0.37), (1.0, 1.0), (1.5, math.inf),
+                                  (3.0, math.inf), (8.0, math.inf)])
+def test_lp_admissibility_scan_matches_mode_constants(p, t):
+    # at p = 2 each mode's constant is the exact L^2 one of mode_admissibility_l2;
+    # at p = 1 the kernel's sup norm is 1 on every horizon
+    def log10_mode(n):
+        if p == 2.0:
+            return math.log10(mode_admissibility_l2(-(2.0**n), 2.0**n / n, t))
+        return _log10_mode_at_inf(p, n)
+
+    for r in lp_admissibility_scan(p, [1, 2, 7, 40], t):
+        expected = max(log10_mode(n) for n in range(1, r["N"] + 1))
+        assert r["log10_constant"] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_lp_admissibility_scan_past_n1023():
+    # 2^n overflows a double past n = 1023, where e^{-q 2^n t} = 0 as at t = inf
+    for p in (1.0, 2.0, 8.0):
+        for t in (1.0, math.inf):
+            (row,) = lp_admissibility_scan(p, [1100], t)
+            assert math.isfinite(row["log10_constant"])
+            assert row["log10_constant"] == pytest.approx(_log10_mode_at_inf(p, 1100), rel=1e-12)
+    assert lp_admissibility_scan(2.0, []) == []
+
+
 def test_lp_admissibility_scan_needs_positive_horizon():
     for t in (0.0, -1.0):
         with pytest.raises(DomainError):
             lp_admissibility_scan(2.0, [5], t)
+    with pytest.raises(DomainError):
+        lp_admissibility_scan(2.0, [5, 0])
 
 
 def test_admissibility_certificate(adm8):

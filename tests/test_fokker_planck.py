@@ -311,6 +311,13 @@ def test_step_numeric_errors(fp_bench):
         fp.step(singular, rho, 0.0, dt)
 
 
+def test_step_rejects_non_finite_dt(fp_bench):
+    rho = fp.discrete_stationary_density(fp_bench)
+    for dt in (math.nan, math.inf, 0.0, -1e-3):
+        with pytest.raises(DomainError, match="finite"):
+            fp.step(fp_bench, rho, 0.0, dt)
+
+
 def test_step_and_simulate_reject_wrong_length_density(fp_bench):
     short = fp.DensityField(np.linspace(0.0, 1.0, 10), np.ones(10))
     with pytest.raises(DataError):
@@ -460,13 +467,20 @@ def test_gain_arguments_must_be_finite(fp_bench):
     for margin in (0.5, math.nan, math.inf):
         with pytest.raises(DomainError, match="margin"):
             fp.fit_gain_constant(fp_bench, [run], 2.0, margin)
+    equil = fp.discrete_stationary_density(fp_bench)
     for omega in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ContractError, match="omega"):
             fp.fit_gain_constant(fp_bench, [run], omega)
+        with pytest.raises(ContractError, match="omega"):
+            fp.run_fp_iss_experiment(fp_bench, equil, None, 0.1, 1e-3, 1.0, omega=omega)
+    # a run's times, devs and energies pair up point by point
+    for short in ((_T5[:4], np.exp(-_T5), _T5), (_T5, np.exp(-_T5[:4]), _T5),
+                  (_T5, np.exp(-_T5), _T5[:4])):
+        with pytest.raises(DataError, match="length"):
+            fp.fit_gain_constant(fp_bench, [run, short], 2.0)
     # deviations are norms: a negative one would make the bound fall with C
     with pytest.raises(DomainError, match="devs"):
         fp.fit_gain_constant(fp_bench, [(_T5, -np.exp(-_T5), _T5)], 2.0)
-    equil = fp.discrete_stationary_density(fp_bench)
     for C in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="finite C > 0"):
             fp.run_fp_iss_experiment(fp_bench, equil, None, 0.1, 1e-3, C, omega=2.0)
