@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError
-from .signals import Signal, write_csv
+from .signals import Signal, _row_norms, write_csv
 
 __all__ = ["SystemModel", "Trajectory", "solve_mild"]
 
@@ -120,7 +120,7 @@ class Trajectory:
             raise DataError(f"unknown trajectory status {self.status!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "norms", np.linalg.norm(states, axis=1))
+        object.__setattr__(self, "norms", _row_norms(states))
 
     def to_csv(self, path, full_state: bool = False) -> None:
         header, cols = ["t", "norm"], [self.grid, self.norms]

@@ -7,8 +7,9 @@ a piecewise-constant signal is computed exactly: the defining integral is a
 finite sum of rectangle terms, convex in 1/k.  Every kind but identity
 takes one algorithm: a bracket, Newton on the modular in 1/k, and ulp steps
 onto the smallest feasible float, with bisection to it as the fallback.
-No tolerance is involved.  One batched kernel serves the single norm and
-the audit's prefix norms.
+No tolerance is involved.  One batched kernel serves the single norm, the
+audit's prefix norms and the per-mode norms behind diagonal's C_B1.  The
+Hoelder pairing check holder_pair is a test reference in tests/reference.py.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -30,7 +31,6 @@ __all__ = [
     "complementary",
     "luxemburg_norm",
     "prefix_luxemburg_norms",
-    "holder_pair",
     "small_interval_norm",
 ]
 
@@ -258,8 +258,8 @@ def complementary(phi: YoungFunction) -> YoungFunction:
 
 
 def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Luxemburg norms over the shared cell norms r, one per row of cell
-    widths W; a zero width leaves the cell out of its row.
+    """Luxemburg norms, one per row of cell widths W, of the cell norms r
+    broadcast to W's shape; a zero width leaves the cell out of its row.
 
     One algorithm for every kind but identity: each row halves or doubles k
     from its largest r until the modular crosses 1, runs _newton, and walks
@@ -275,9 +275,10 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
     rows = np.flatnonzero(k > 0)
     if rows.size == 0:
         return out
+    R = np.broadcast_to(r, W.shape)[rows]
     W, live, k = W[rows], live[rows], k[rows]
 
-    def feasible(w, mask, scale):
+    def feasible(w, r, mask, scale):
         vals = phi._eval(r / scale[:, None])
         terms = w * np.where(np.isfinite(vals), vals, np.inf)
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
@@ -286,7 +287,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # bracket the unique crossing of the modular through 1; a row that
         # is infeasible at k doubles upward, a feasible one halves downward
-        up = ~feasible(W, live, k)
+        up = ~feasible(W, R, live, k)
         lo = np.where(up, k, k / 2.0)
         hi = np.where(up, k * 2.0, k)
         sel = np.arange(rows.size)
@@ -298,7 +299,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
                 raise NumericError("luxemburg_norm: upper bracket not found")
             # the bracket is found once feasibility flips from its start
             probe = np.where(u, hi[sel], lo[sel])
-            sel = sel[feasible(W[sel], live[sel], probe) != u]
+            sel = sel[feasible(W[sel], R[sel], live[sel], probe) != u]
             u = up[sel]
             lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
                                 np.where(u, hi[sel] * 2.0, lo[sel]))
@@ -309,7 +310,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
         else:
             if sel.size:
                 raise NumericError("luxemburg_norm: lower bracket not found")
-        norm, bisect = _newton(phi, r, W, live, lo, hi, zero)
+        norm, bisect = _newton(phi, R, W, live, lo, hi, zero)
         # walk each Newton norm up by ulps to the feasible side, then down
         # while the float below it is feasible too.  A row still walking at
         # the cap (Newton stalled in rounding, or stepped past the root on
@@ -318,7 +319,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
         down = np.ones(sel.size, dtype=bool)
         for _ in range(_NUDGE_CAP):
             both = np.concatenate((sel, sel[down]))
-            ok = feasible(W[both], live[both], np.concatenate(
+            ok = feasible(W[both], R[both], live[both], np.concatenate(
                 (norm[sel], np.nextafter(norm[sel][down], 0.0))))
             up = ~ok[:sel.size]
             down[down] = ok[sel.size:]
@@ -337,17 +338,17 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
         # bisect on compact copies until lo and hi are adjacent floats: the
         # midpoint of two floats that are not adjacent lies strictly between
         sel = np.flatnonzero(bisect & ~zero & (np.nextafter(lo, np.inf) < hi))
-        lo_s, hi_s, w, mask = lo[sel], hi[sel], W[sel], live[sel]
+        lo_s, hi_s, w, rs, mask = lo[sel], hi[sel], W[sel], R[sel], live[sel]
         while sel.size:
             mid = 0.5 * (lo_s + hi_s)
-            ok = feasible(w, mask, mid)
+            ok = feasible(w, rs, mask, mid)
             hi_s = np.where(ok, mid, hi_s)
             lo_s = np.where(ok, lo_s, mid)
             going = np.nextafter(lo_s, np.inf) < hi_s
             if not going.all():
                 hi[sel] = hi_s
                 sel, lo_s, hi_s = sel[going], lo_s[going], hi_s[going]
-                w, mask = w[going], mask[going]
+                w, rs, mask = w[going], rs[going], mask[going]
     out[rows] = np.where(zero | (hi < 1e-300), 0.0, hi)
     return out
 
@@ -409,24 +410,3 @@ def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -
     if delta <= 0:
         raise DomainError("delta must be > 0")
     return luxemburg_norm(phi, u, Interval(t, t + delta))
-
-
-# ---------------------------------------------------------------------------
-# Hoelder pairing
-# ---------------------------------------------------------------------------
-
-
-def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
-    """Both sides of the generalized Hoelder inequality
-    int |u||v| <= 2 ||u||_{L_Phi} ||v||_{L_Phi~} on iv."""
-    comp = complementary(phi)
-    ur = restrict(u, iv)
-    vr = restrict(v, iv)
-    cuts = np.union1d(ur.grid, vr.grid)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    wu = np.linalg.norm(ur.value_at(mids), axis=1)
-    wv = np.linalg.norm(vr.value_at(mids), axis=1)
-    lhs = float(np.sum(np.diff(cuts) * wu * wv))
-    rhs = 2.0 * luxemburg_norm(phi, u, iv) * luxemburg_norm(comp, v, iv)
-    return {"lhs": lhs, "rhs": rhs}
-

@@ -89,14 +89,8 @@ class Signal:
         return np.diff(self.grid)
 
     def cell_norms(self) -> np.ndarray:
-        """Euclidean norm of each cell's value vector, rescaled where squares
-        overflow or their sum is subnormal (below _TINY_NORM**2)."""
-        with np.errstate(over="ignore"):
-            r = np.linalg.norm(self.values, axis=1)
-            odd = np.isinf(r) | ((r < _TINY_NORM) & np.any(self.values != 0, axis=1))
-            scale = np.max(np.abs(self.values[odd]), axis=1, keepdims=True)
-            r[odd] = scale[:, 0] * np.linalg.norm(self.values[odd] / scale, axis=1)
-        return r
+        """Euclidean norm of each cell's value vector, by _row_norms."""
+        return _row_norms(self.values)
 
     def value_at(self, t) -> np.ndarray:
         """Value of the cell containing t, right-continuous (the last cell owns
@@ -145,7 +139,6 @@ def restrict(u: Signal, iv: Interval) -> Signal:
     t1 = min(iv.t1, dom.t1)
     lo = int(np.searchsorted(u.grid, t0, side="right")) - 1
     hi = int(np.searchsorted(u.grid, t1, side="left"))
-    lo = max(lo, 0)
     grid = u.grid[lo:hi + 1].copy()
     grid[0] = t0
     grid[-1] = t1
@@ -164,6 +157,20 @@ def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float)
     grid = _allocate(np.linspace, iv.t0, iv.t1, cells + 1)
     values = _allocate(rng.uniform, -amplitude, amplitude, (cells, d))
     return Signal(grid, values)
+
+
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-d array, rescaled by the row's
+    largest |value| where the squares overflow or their sum is subnormal
+    (below _TINY_NORM**2)."""
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(values, axis=1)
+        odd = np.isinf(r) | ((r < _TINY_NORM) & np.any(values != 0, axis=1))
+        scale = np.max(np.abs(values[odd]), axis=1)
+        keep = scale < np.inf  # a row holding inf keeps the norm inf
+        odd, scale = np.flatnonzero(odd)[keep], scale[keep]
+        r[odd] = scale * np.linalg.norm(values[odd] / scale[:, None], axis=1)
+    return r
 
 
 def _allocate(make, *args) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Independent reference implementations that tests compare the library
-against: the exact L^p norm of a piecewise-constant signal, a writer and a
+against: the exact L^p norm of a piecewise-constant signal, both sides of the
+generalized Hoelder inequality (holder_pair), the terms of the Carleson-type
+series that rules out L^p-admissibility (carleson_series_term), a writer and a
 reader for the CSV artifacts of write_csv, a Crank-Nicolson step that factors
 on every call, the gain-constant bisection over every point of a run, and
 Simpson's rule for the integral of the k_n certificate."""
@@ -12,7 +14,7 @@ import numpy as np
 from isslab.bounds import gamma_fp
 from isslab.diagonal import KN_CONSTANT
 from isslab.errors import DomainError, NumericError
-from isslab.orlicz import YoungFunction
+from isslab.orlicz import YoungFunction, complementary, luxemburg_norm
 from isslab.signals import _EXP_OVERFLOW, Interval, Signal, restrict
 
 
@@ -28,6 +30,38 @@ def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
         return m
     # scaled by the largest cell norm, so that r**p cannot underflow or overflow
     return m * float(np.sum(u.widths * (r / m) ** p) ** (1.0 / p))
+
+
+def holder_pair(u: Signal, v: Signal, phi: YoungFunction, iv: Interval) -> dict:
+    """Both sides of the generalized Hoelder inequality
+    int |u||v| <= 2 ||u||_{L_Phi} ||v||_{L_Phi~} on iv."""
+    comp = complementary(phi)
+    ur = restrict(u, iv)
+    vr = restrict(v, iv)
+    cuts = np.union1d(ur.grid, vr.grid)
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    wu = np.linalg.norm(ur.value_at(mids), axis=1)
+    wv = np.linalg.norm(vr.value_at(mids), axis=1)
+    lhs = float(np.sum(np.diff(cuts) * wu * wv))
+    rhs = 2.0 * luxemburg_norm(phi, u, iv) * luxemburg_norm(comp, v, iv)
+    return {"lhs": lhs, "rhs": rhs}
+
+
+def carleson_series_term(p: float, n: int, log10: bool = False) -> float:
+    """Term 2^{2n/(p-2)} / n^{4p/(p-2)} of the divergent series that rules
+    out L^p-admissibility for p > 2; log10=True returns its base-10 log."""
+    if p <= 2:
+        raise DomainError("carleson_series_term needs p > 2")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    lg = (2.0 * n / (p - 2.0)) * math.log10(2.0) - (4.0 * p / (p - 2.0)) * math.log10(n)
+    if log10:
+        return lg
+    if lg > 300.0:
+        raise NumericError(
+            "carleson_series_term: value exceeds double range; use log10=True"
+        )
+    return 10.0**lg
 
 
 def dense(bands: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from isslab.diagonal import (
-    carleson_series_term,
+    _decaying_majorant,
     closed_form_exponents,
     closed_form_solution,
     closed_form_trajectory,
@@ -16,8 +17,9 @@ from isslab.diagonal import (
     verify_kn_bound,
 )
 from isslab.errors import DataError, DomainError, NumericError
+from isslab.orlicz import YoungFunction, luxemburg_norm
 from isslab.signals import Interval, Signal, random_signal
-from reference import kn_integral_simpson
+from reference import carleson_series_term, kn_integral_simpson
 
 
 def test_example3_model_values():
@@ -94,6 +96,17 @@ def test_trajectory_helper():
     traj = closed_form_trajectory(m, np.ones(3), None, times)
     assert traj.status == "complete"
     assert traj.norms[0] == pytest.approx(math.sqrt(3.0))
+
+
+def test_trajectory_norms_survive_overflowing_squares():
+    # mode 1 grows like e^{4t} under u1 = 3: its square overflows from t = 88.7
+    u = Signal.constant(3.0, Interval(0.0, 120.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = closed_form_trajectory(example3_model(8), np.eye(8)[0], u,
+                                      np.linspace(0.0, 120.0, 2401))
+    assert np.all(np.isfinite(traj.norms))
+    assert np.array_equal(traj.norms, np.abs(traj.states[:, 0]))
 
 
 def test_trajectory_matches_per_time_closed_form():
@@ -249,6 +262,16 @@ def test_lp_admissibility_scan_needs_positive_horizon():
             lp_admissibility_scan(2.0, [5], t)
     with pytest.raises(DomainError):
         lp_admissibility_scan(2.0, [5, 0])
+
+
+def test_admissibility_matches_per_mode_norms():
+    loglog = YoungFunction.loglog()
+    c = [luxemburg_norm(loglog, _decaying_majorant(2.0**n / n, 2.0**n - 1.0))
+         for n in range(1, 61)]
+    for N in range(1, 61):
+        got = example3_admissibility(N)
+        assert got["c_n"].tolist() == c[:N]
+        assert got["C_B1"] == 2.0 * float(np.linalg.norm(c[:N]))
 
 
 def test_admissibility_certificate(adm8):

@@ -39,6 +39,8 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)))
     traj = Trajectory(np.array([0.0, 1.0]), np.array([[3.0, 4.0], [0.0, 1.0]]))
     assert traj.norms[0] == 5.0
+    # a state that overflowed to inf keeps an inf norm
+    assert Trajectory(np.array([0.0]), np.array([[math.inf, 1.0]])).norms[0] == math.inf
 
 
 def test_zero_input_is_pure_semigroup():
@@ -199,8 +201,11 @@ def test_semigroup_model_laws():
         warnings.simplefilter("error")
         tiny = stable_model([-1.0], [2.85e-217])
         huge = stable_model([-1.0, -1.0], [1e160, 1e160])
+        part = stable_model([-0.5, -0.5], [3e-160, 4e-160])
     assert tiny.adm_c == pytest.approx(2.85e-217 / math.sqrt(2.0), rel=1e-14, abs=0.0)
     assert huge.adm_c == pytest.approx(1e160, rel=1e-14)
+    # a sum of squares in the subnormal range keeps its digits too
+    assert part.adm_c == pytest.approx(5e-160, rel=1e-15, abs=0.0)
 
 
 def test_empty_model_raises_data_error():

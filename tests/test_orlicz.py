@@ -10,14 +10,13 @@ from isslab.errors import DataError, DomainError, UnsupportedError
 from isslab.orlicz import (
     YoungFunction,
     complementary,
-    holder_pair,
     legendre_transform,
     luxemburg_norm,
     prefix_luxemburg_norms,
     small_interval_norm,
 )
 from isslab.signals import Interval, Signal, random_signal, restrict
-from reference import lp_norm
+from reference import holder_pair, lp_norm
 
 ALL_KINDS = [
     YoungFunction.power(2),
@@ -317,6 +316,30 @@ def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
         r, w = ur.cell_norms(), ur.widths
         assert _modular(phi, r, w, norm) <= 1.0 < _modular(phi, r, w, np.nextafter(norm, 0.0))
         assert norm <= ref + 4 * np.spacing(ref)
+
+
+@given(
+    kind=st.sampled_from([k for k in PREFIX_KINDS if k != YoungFunction.identity()]),
+    rows=st.lists(st.tuples(st.integers(min_value=0, max_value=10_000),
+                            st.integers(min_value=1, max_value=8),
+                            st.integers(min_value=1, max_value=2),
+                            st.sampled_from([0.0, 1e-3, 1.0, 40.0]),
+                            st.sampled_from([0.05, 2.0, 60.0])), min_size=1, max_size=5),
+    pad=st.sampled_from([0.0, 1.0, 1e300]),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_equal_their_single_norms(comp_loglog, kind, rows, pad):
+    # one row per signal, padded to the longest with zero widths whose
+    # cell norms (pad) the kernel leaves out
+    phi = comp_loglog if kind == "tabulated" else kind
+    us = [random_signal(seed, d, Interval(0.0, length), cells, amplitude)
+          for seed, cells, d, amplitude, length in rows]
+    r = np.full((len(us), max(u.widths.size for u in us)), pad)
+    W = np.zeros_like(r)
+    for i, u in enumerate(us):
+        r[i, :u.widths.size], W[i, :u.widths.size] = u.cell_norms(), u.widths
+    got = orlicz._luxemburg_rows(phi, r, W)
+    assert got.tolist() == [luxemburg_norm(phi, u) for u in us]
 
 
 # Phi through (0, 0), (1, 1), (2, 4), (4, 16), with slope 6 above s = 4

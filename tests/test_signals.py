@@ -167,7 +167,7 @@ def test_lp_norm_values():
     assert r[2] == 1e-200
     # a sum of squares in the subnormal range keeps its digits too
     part = Signal.constant([3e-162, 4e-162], Interval(0.0, 1.0)).cell_norms()
-    assert part[0] == pytest.approx(5e-162, rel=1e-15)
+    assert part[0] == pytest.approx(5e-162, rel=1e-15, abs=0.0)
     tiny = Signal.constant(1e-200, Interval(0.0, 1.0))
     assert luxemburg_norm(YoungFunction.power(2), tiny) == pytest.approx(1e-200, rel=1e-15)
     assert lp_norm(tiny, 2) == pytest.approx(1e-200, rel=1e-15)
