@@ -89,31 +89,42 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def beta(p: BoundParams, s: float, t: float) -> float:
-    """KL-class decay term of the estimate."""
-    if s < 0 or t < 0:
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp elementwise: np.exp differs from it in the last bit for some x."""
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def beta(p: BoundParams, s, t):
+    """KL-class decay term of the estimate, elementwise on arrays s and t."""
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    if np.any(s < 0) or np.any(t < 0):
         raise DomainError("beta needs s, t >= 0")
-    if abs(p.omega * t) > _EXP_OVERFLOW:
-        if p.omega > 0:
-            return 0.0 if s == 0 else p.M * math.exp(-p.omega * t) * s
+    far = np.abs(p.omega * t) > _EXP_OVERFLOW
+    if p.omega <= 0 and np.any(far):
         raise NumericError("beta: |omega*t| exceeds overflow guard")
-    decay = math.exp(-p.omega * t)
+    decay = _exp(-p.omega * t)
     sup_term = 1.0 if p.omega >= 0 else decay
-    return p.M * decay * s + 0.5 * p.M**2 * decay * s * s * sup_term
+    with np.errstate(all="ignore"):  # a float product overflows to inf silently
+        out = np.where(far, np.where(s == 0, 0.0, p.M * decay * s),
+                       p.M * decay * s + 0.5 * p.M**2 * decay * s * s * sup_term)
+    return out if out.ndim else float(out)
 
 
-def gamma1(p: BoundParams, s: float) -> float:
-    """K-infinity gain of the bilinear input u1."""
-    if s < 0:
+def gamma1(p: BoundParams, s):
+    """K-infinity gain of the bilinear input u1, elementwise on an array s."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s < 0):
         raise DomainError("gamma1 needs s >= 0")
-    if 4.0 * p.m * s > _EXP_OVERFLOW:
+    if np.any(4.0 * p.m * s > _EXP_OVERFLOW):
         raise NumericError("gamma1: exponent 4*m*s exceeds overflow guard")
-    return 4.0 * p.m**2 * s * s * math.exp(4.0 * p.m * s)
+    with np.errstate(all="ignore"):
+        out = 4.0 * p.m**2 * s * s * _exp(4.0 * p.m * s)
+    return out if out.ndim else float(out)
 
 
-def gamma2(s: float) -> float:
-    """K-infinity gain of the additive input u2."""
-    if s < 0:
+def gamma2(s):
+    """K-infinity gain of the additive input u2, elementwise on an array s."""
+    if np.any(np.asarray(s) < 0):
         raise DomainError("gamma2 needs s >= 0")
     return s + 0.5 * s * s
 
@@ -138,38 +149,34 @@ def gamma_fp(C: float, r):
 # ---------------------------------------------------------------------------
 
 
-def _input_norm(phi: YoungFunction, u: Signal | None, t) -> np.ndarray:
-    """||u||_{E_Phi(0,t)} for every horizon in t, from one batched
-    prefix-norm solve; a horizon t > 0 needs u to start at 0."""
+def _input_norm(phi: YoungFunction, u, t) -> np.ndarray:
+    """||u||_{E_Phi(0,t)} for every horizon in t (a row per signal of a stack
+    if some t > 0) from one prefix-norm solve; t > 0 needs u to start at 0."""
     from .orlicz import prefix_luxemburg_norms  # here: fokker_planck computes no norm
     t = np.asarray(t, dtype=float)
     if u is None or not np.any(t > 0.0):
         return np.zeros(t.shape)
-    if u.grid[0] != 0.0:
+    if any(v.grid[0] != 0.0 for v in ([u] if isinstance(u, Signal) else u)):
         raise DomainError("input signals must start at t = 0")
     return prefix_luxemburg_norms(phi, u, t)
 
 
-def iss_rhs(p: BoundParams, x0_norm: float, u1: Signal | None, u2: Signal | None,
-            phi: YoungFunction, psi: YoungFunction, t):
+def iss_rhs(p: BoundParams, x0_norm, u1, u2, phi: YoungFunction, psi: YoungFunction, t):
     """Right-hand side of the exponentially stable (omega > 0) estimate with
     t-uniform admissibility constants.
 
     t is a scalar (returns a float) or an array of horizons (returns an
     array of the same shape); the input norms of all horizons come from
-    one prefix-norm solve per input.
+    one prefix-norm solve per input.  B cases, x0_norm of shape (B,) with u1
+    and u2 None, a Signal or B signals on one grid, give shape (B,) + t.shape.
     """
     if p.omega <= 0.0:
         raise ContractError("iss_rhs needs omega > 0: it is the exponentially stable estimate")
-    ts = np.asarray(t, dtype=float)
-    if x0_norm < 0 or np.any(ts < 0):
-        raise DomainError("iss_rhs needs x0_norm, t >= 0")
+    ts, s = np.asarray(t, dtype=float), np.asarray(x0_norm, dtype=float)
     n1 = _input_norm(phi, u1, ts)
     n2 = _input_norm(psi, u2, ts)
-    rhs = np.array([
-        beta(p, x0_norm, ti) + gamma1(p, p.C_B1 * a) + gamma2(p.C_B2 * b)
-        for ti, a, b in zip(ts.ravel().tolist(), n1.ravel().tolist(), n2.ravel().tolist())
-    ]).reshape(ts.shape)
+    rhs = np.asarray(beta(p, s.reshape(s.shape + (1,) * ts.ndim), ts)
+                     + gamma1(p, p.C_B1 * n1) + gamma2(p.C_B2 * n2))
     return rhs if rhs.ndim else float(rhs)
 
 
@@ -182,29 +189,28 @@ def audit(traj, rhs, tol: float = 1e-6) -> AuditReport:
     """Compare a trajectory's norms against a bound on the same grid.
 
     rhs is an array of bound values, one per trajectory grid point.  PASS
-    means ||x(t)|| - rhs(t) <= tol*(1 + rhs(t)) at every grid point.
+    means ||x(t)|| - rhs(t) <= tol*(1 + rhs(t)) at every grid point.  For
+    norms and rhs of shape (cases, points) each field but n_points is per case.
     """
     if tol < 0:
         raise DomainError("tol must be >= 0")
     grid = np.asarray(traj.grid, dtype=float)
     norms = np.asarray(traj.norms, dtype=float)
-    if grid.size != norms.size or grid.size < 1:
+    if norms.shape[-1:] != grid.shape or grid.size < 1:
         raise ContractError("trajectory grid and norms must align and be nonempty")
     rhs_vals = np.asarray(rhs, dtype=float)
-    if rhs_vals.size != grid.size:
+    if rhs_vals.size != norms.size:
         raise ContractError(
             f"bound values ({rhs_vals.size}) do not share the trajectory "
             f"grid ({grid.size} points)"
         )
+    rhs_vals = rhs_vals.reshape(norms.shape)
     violations = norms - rhs_vals
-    i = int(np.argmax(violations))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    i = np.argmax(violations, axis=-1)
+    with np.errstate(all="ignore"):  # a ratio past the double range is inf
         ratios = np.where(norms > 0, rhs_vals / norms, np.inf)
-    passed = bool(np.all(violations <= tol * (1.0 + rhs_vals)))
-    return AuditReport(
-        max_violation=float(violations[i]),
-        min_slack_ratio=float(np.min(ratios)),
-        worst_time=float(grid[i]),
-        n_points=int(grid.size),
-        passed=passed,
-    )
+    fields = (np.max(violations, axis=-1), np.min(ratios, axis=-1), grid[i],
+              np.all(violations <= tol * (1.0 + rhs_vals), axis=-1))
+    if norms.ndim == 1:
+        fields = (*map(float, fields[:3]), bool(fields[3]))
+    return AuditReport(*fields[:3], n_points=int(grid.size), passed=fields[3])

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DataError, DomainError, NumericError
 from .mild_solver import SystemModel, Trajectory
 from .orlicz import YoungFunction, _luxemburg_rows
-from .signals import _EXP_OVERFLOW, Signal, _allocate, _row_norms
+from .signals import _EXP_OVERFLOW, Signal, _allocate, _row_norms, _stack
 
 __all__ = [
     "stable_model",
@@ -72,44 +72,47 @@ def example3_model(N: int) -> SystemModel:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_exponents(m: SystemModel, u: Signal | None, t) -> np.ndarray:
+def closed_form_exponents(m: SystemModel, u, t) -> np.ndarray:
     """Per-mode exponents lambda_n t + mu_n int_0^t u, the log-domain
     representation of the propagator; an array of times gives one row of
-    exponents per time."""
+    exponents per time.  u is None, a scalar Signal or a stack of them (a
+    sequence on one grid), which adds a leading axis, one entry per signal."""
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0):
         raise DomainError("t must be >= 0")
-    flat = ts.reshape(-1, 1)
-    integral = np.zeros_like(flat)
+    stack = () if u is None or isinstance(u, Signal) else (len(u),)
+    flat = ts.reshape(-1)
+    integral = np.zeros((stack or (1,)) + flat.shape)
     # t = 0 needs no input, however late the signal starts
-    live = flat[:, 0] != 0.0
+    live = flat != 0.0
     if u is not None and np.any(live):
-        if u.d != 1:
+        w = _stack(u)  # one component per input
+        if w.d != len(integral):
             raise DomainError("the diagonal system takes a scalar input")
-        integral[live] = u.integral(flat[live, 0])
-    expo = m.lam * flat + m.mu * integral
-    return expo.reshape(ts.shape + (m.dim,))
+        integral[:, live] = w.integral(flat[live]).T
+    expo = m.lam * flat[:, None] + m.mu * integral[..., None]
+    return expo.reshape(stack + ts.shape + (m.dim,))
 
 
-def closed_form_solution(m: SystemModel, x0, u: Signal | None, t) -> np.ndarray:
+def closed_form_solution(m: SystemModel, x0, u, t) -> np.ndarray:
     """x_n(t) = exp(lambda_n t + mu_n int_0^t u) x_n(0), exactly; an array
-    of times gives one state row per time."""
+    of times gives one state row per time, and x0 broadcasts against them.
+    NumericError if an exponent above 700 meets an x0_n != 0 or a state
+    overflows."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != m.dim:
-        raise DataError(f"x0 has length {x0.size}, model has {m.dim} modes")
+    if x0.shape[-1] != m.dim:
+        raise DataError(f"x0 has {x0.shape[-1]} modes, the model {m.dim}")
     expo = closed_form_exponents(m, u, t)
-    if np.any(expo[..., x0 != 0] > _EXP_OVERFLOW):
-        raise NumericError(
-            "closed_form_solution: exponent overflow; work with "
-            "closed_form_exponents (log domain) instead"
-        )
-    with np.errstate(under="ignore"):
-        return np.exp(np.minimum(expo, _EXP_OVERFLOW)) * x0
+    with np.errstate(under="ignore", over="ignore"):
+        x = np.exp(np.minimum(expo, _EXP_OVERFLOW)) * x0
+    if np.any((expo > _EXP_OVERFLOW) & (x0 != 0)) or np.any(np.isinf(x)):
+        raise NumericError("closed_form_solution: an exponent above 700 or an overflowing "
+                           "state; work with closed_form_exponents (log domain) instead")
+    return x
 
 
-def closed_form_trajectory(m: SystemModel, x0, u: Signal | None,
-                           times) -> Trajectory:
-    """Trajectory sampled from the closed form on the given time grid."""
+def closed_form_trajectory(m: SystemModel, x0, u, times) -> Trajectory:
+    """Trajectory, or a stack of them, sampled from the closed form on times."""
     times = np.asarray(times, dtype=float)
     return Trajectory(times, closed_form_solution(m, x0, u, times))
 

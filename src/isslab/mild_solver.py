@@ -97,7 +97,8 @@ class Trajectory:
     """Time grid, state snapshots and cached state norms of one solve.
 
     status is 'complete' or 'blowup'; in the latter case t_blowup holds the
-    first grid time whose norm exceeded the blow-up threshold.
+    first grid time whose norm exceeded the blow-up threshold.  states may
+    carry a leading case axis (a stack on one grid); norms then do too.
     quad_error_estimate is solve_mild's max |x_{h/2} - x_h| / 3 over the run,
     the error of its trapezoid solve before extrapolation, not of the states.
     """
@@ -112,7 +113,7 @@ class Trajectory:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if grid.ndim != 1 or grid.size != states.shape[0]:
+        if grid.ndim != 1 or grid.size != states.shape[-2]:
             raise DataError("need one state per grid point")
         if grid.size >= 2 and np.any(np.diff(grid) <= 0):
             raise DataError("trajectory grid must be strictly increasing")
@@ -120,7 +121,8 @@ class Trajectory:
             raise DataError(f"unknown trajectory status {self.status!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "norms", _row_norms(states))
+        object.__setattr__(self, "norms", _row_norms(
+            states.reshape(-1, states.shape[-1])).reshape(states.shape[:-1]))
 
     def to_csv(self, path, full_state: bool = False) -> None:
         header, cols = ["t", "norm"], [self.grid, self.norms]

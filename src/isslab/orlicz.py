@@ -8,8 +8,8 @@ finite sum of rectangle terms, convex in 1/k.  Every kind but identity
 takes one algorithm: a bracket, Newton on the modular in 1/k, and ulp steps
 onto the smallest feasible float, with bisection to it as the fallback.
 No tolerance is involved.  One batched kernel serves the single norm, the
-audit's prefix norms and the per-mode norms behind diagonal's C_B1.  The
-Hoelder pairing check holder_pair is a test reference in tests/reference.py.
+per-mode norms behind diagonal's C_B1 and the prefix norms of a stack of
+signals (an audit block).  holder_pair is a test reference in tests/reference.py.
 
 Complementary functions are closed form for the s^p/p family and a
 tabulated Legendre transform otherwise (log grid, linear interpolation).
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError, UnsupportedError
-from .signals import Interval, Signal, restrict
+from .signals import Interval, Signal, _row_norms, _stack, restrict
 
 __all__ = [
     "YoungFunction",
@@ -358,21 +358,22 @@ def _newton(phi, r, W, live, lo, hi, zero):
     from lam = 1/lo with _value_slope's left slopes: they are subgradients,
     so lam falls, and for a piecewise-linear Phi the step from the root's
     piece lands on it.  Returns k = 1/lam, and the rows left to bisect (a
-    step not finite or past the feasible end 1/hi)."""
-    lam, lam_f, wr = 1.0 / lo, 1.0 / hi, W * r
-    run, bisect = ~zero, np.zeros(lo.size, dtype=bool)
+    step not finite or past the feasible end 1/hi); sweeps skip finished rows."""
+    lam, bisect, sel = 1.0 / lo, np.zeros(lo.size, dtype=bool), np.flatnonzero(~zero)
     for _ in range(_NEWTON_CAP):
-        val, g = phi._value_slope(r * lam[:, None])
-        m = np.add.reduce(W * val, axis=1, where=live) - 1.0
-        nxt = lam - m / np.add.reduce(wr * g, axis=1, where=live)
-        ok = nxt >= lam_f  # false if not finite or past the feasible end
-        bisect |= run & ~ok
-        run &= ok & (nxt < lam)
-        if not run.any():
+        if sel.size == 0:
             break
-        lam = np.where(run, nxt, lam)
+        w, rs, mask, at = W[sel], r[sel], live[sel], lam[sel]
+        val, g = phi._value_slope(rs * at[:, None])
+        m = np.add.reduce(w * val, axis=1, where=mask) - 1.0
+        nxt = at - m / np.add.reduce(w * rs * g, axis=1, where=mask)
+        ok = nxt >= 1.0 / hi[sel]  # false if not finite or past the feasible end
+        bisect[sel[~ok]] = True
+        go = ok & (nxt < at)
+        lam[sel[go]] = nxt[go]
+        sel = sel[go]
     else:  # Newton may visit every piece, or crawl for s^p at a large p
-        bisect |= run
+        bisect[sel] = True
     return 1.0 / lam, bisect
 
 
@@ -385,23 +386,26 @@ def luxemburg_norm(phi: YoungFunction, u: Signal, iv: Interval | None = None) ->
     """
     if iv is not None:
         u = restrict(u, iv)
-    if not np.all(np.isfinite(u.values)):
-        raise DataError("signal contains non-finite samples")
-    return float(_luxemburg_rows(phi, u.cell_norms(), u.widths[None, :])[0])
+    return float(prefix_luxemburg_norms(phi, u, u.grid[-1]))
 
 
-def prefix_luxemburg_norms(phi: YoungFunction, u: Signal, ends) -> np.ndarray:
+def prefix_luxemburg_norms(phi: YoungFunction, u, ends) -> np.ndarray:
     """Luxemburg norms of u on every prefix [t0, t] of its domain [t0, t1],
-    one per t in ends, from one batched kernel call.
+    one per t in ends, from one kernel call; a stack of signals on one grid
+    (a sequence) gives one row of norms per signal.
 
-    Each value equals luxemburg_norm(phi, u, Interval(t0, t)) bit for bit;
-    t = t0 gives 0.  The result has the shape of ends.
+    Each value equals luxemburg_norm(phi, v, Interval(t0, t)) bit for bit;
+    t = t0 gives 0.  The result has the shape of ends, after a stack's axis.
     """
+    w, n = _stack(u), 1 if isinstance(u, Signal) else len(u)
     t = np.asarray(ends, dtype=float)
-    if not np.all((t >= u.grid[0]) & (t <= u.grid[-1] + 1e-12)):
+    if not np.all((t >= w.grid[0]) & (t <= w.grid[-1] + 1e-12)):
         raise DomainError("prefix ends must lie in the signal domain")
-    W = np.maximum(np.minimum(u.grid[1:], t.reshape(-1, 1)) - u.grid[:-1], 0.0)
-    return _luxemburg_rows(phi, u.cell_norms(), W).reshape(t.shape)
+    W = np.maximum(np.minimum(w.grid[1:], t.reshape(-1, 1)) - w.grid[:-1], 0.0)
+    # one kernel row per signal and end, with that signal's cell norms
+    r = _row_norms(w.values.reshape(W.shape[1] * n, -1)).reshape(-1, n).T
+    norms = _luxemburg_rows(phi, np.repeat(r, t.size, axis=0), np.tile(W, (n, 1)))
+    return norms.reshape((() if isinstance(u, Signal) else (n,)) + t.shape)
 
 
 def small_interval_norm(phi: YoungFunction, u: Signal, t: float, delta: float) -> float:

@@ -159,6 +159,14 @@ def random_signal(seed: int, d: int, iv: Interval, cells: int, amplitude: float)
     return Signal(grid, values)
 
 
+def _stack(u) -> Signal:
+    """A Signal, or a stack of signals of one grid and d, as one Signal."""
+    us = [u] if isinstance(u, Signal) else list(u)
+    if not us or any(v.d != us[0].d or not np.array_equal(v.grid, us[0].grid) for v in us):
+        raise DataError("a stack of signals must be nonempty and share one grid and d")
+    return Signal(us[0].grid, np.concatenate([v.values for v in us], axis=1))
+
+
 def _row_norms(values: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-d array, rescaled by the row's
     largest |value| where the squares overflow or their sum is subnormal

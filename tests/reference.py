@@ -3,19 +3,21 @@ against: the exact L^p norm of a piecewise-constant signal, both sides of the
 generalized Hoelder inequality (holder_pair), the terms of the Carleson-type
 series that rules out L^p-admissibility (carleson_series_term), a writer and a
 reader for the CSV artifacts of write_csv, a Crank-Nicolson step that factors
-on every call, the gain-constant bisection over every point of a run, and
-Simpson's rule for the integral of the k_n certificate."""
+on every call, the gain-constant bisection over every point of a run,
+Simpson's rule for the integral of the k_n certificate, and the audit-iss
+rows computed case by case."""
 
 import csv
 import math
 
 import numpy as np
 
+from isslab import bounds, diagonal
 from isslab.bounds import gamma_fp
 from isslab.diagonal import KN_CONSTANT
 from isslab.errors import DomainError, NumericError
 from isslab.orlicz import YoungFunction, complementary, luxemburg_norm
-from isslab.signals import _EXP_OVERFLOW, Interval, Signal, restrict
+from isslab.signals import _EXP_OVERFLOW, Interval, Signal, random_signal, restrict
 
 
 def lp_norm(u: Signal, p: float, iv: Interval | None = None) -> float:
@@ -147,3 +149,30 @@ def kn_integral_simpson(n: int, t: float, cells: int = 16000) -> float:
     with np.errstate(under="ignore"):
         vals = YoungFunction.loglog()(np.exp(np.minimum(log_amp - sig, _EXP_OVERFLOW)))
     return float(simpson(vals, x=sig)) * math.exp(-log_rate)
+
+
+def audit_iss_rows(params: dict, base_seed: int, phi: YoungFunction) -> list[list]:
+    """results.csv rows of the audit-iss command for its checked params
+    (defaults filled in), one closed_form_trajectory, iss_rhs and audit call
+    per case; phi is the tabulated complementary log-log gauge."""
+    N, T = params["N"], params["T"]
+    model = diagonal.example3_model(N)
+    c_b1 = params["C_B1"]
+    if c_b1 is None:
+        c_b1 = diagonal.example3_admissibility(N)["C_B1"]
+    bp = bounds.BoundParams(M=params["M"], omega=params["omega"], m=params["m"], C_B1=c_b1)
+    times = np.linspace(0.0, T, params["samples"])
+    rows = []
+    for i in range(params["cases"]):
+        case_seed = base_seed + i
+        rng = np.random.Generator(np.random.Philox(case_seed))
+        x0 = rng.uniform(-1.0, 1.0, N)
+        u1 = random_signal(case_seed + 10_000, 1, Interval(0.0, T), params["cells"],
+                           params["amplitude"])
+        x0_norm = float(np.linalg.norm(x0))
+        traj = diagonal.closed_form_trajectory(model, x0, u1, times)
+        rhs = bounds.iss_rhs(bp, x0_norm, u1, None, phi, phi, times)
+        rep = bounds.audit(traj, rhs, tol=params["tol"])
+        rows.append([i, case_seed, x0_norm, rep.max_violation,
+                     rep.min_slack_ratio, rep.passed])
+    return rows

@@ -150,3 +150,78 @@ def test_audit_pass_fail_and_report():
     with pytest.raises(ContractError):
         audit(traj, np.zeros(5))
 
+
+
+def test_gains_on_arrays_equal_their_scalar_values():
+    s = np.array([0.0, 1e-3, 0.7, 2.0, 30.0])[:, None]
+    t = np.array([0.0, 0.05, 1.0, 3.7, 400.0])
+    for p in (bp(M=1.5, omega=2.0), bp(omega=-0.5)):
+        got = beta(p, s, t)
+        assert got.shape == (5, 5) and isinstance(beta(p, 0.7, 1.0), float)
+        assert got.tolist() == [[beta(p, a, b) for b in t.tolist()] for a in s[:, 0].tolist()]
+    # the scalar form is the formula with math.exp, whose bits np.exp does not
+    # always share; past the overflow guard only the linear term is left
+    p = bp(M=1.5, omega=2.0)
+    for a in (0.7, 30.0):
+        want = []
+        for b in np.append(np.linspace(0.0, 5.0, 201), [360.0, 400.0]).tolist():
+            decay = math.exp(-p.omega * b)
+            want.append(p.M * decay * a if p.omega * b > 700
+                        else p.M * decay * a + 0.5 * p.M**2 * decay * a * a * 1.0)
+        assert beta(p, a, np.append(np.linspace(0.0, 5.0, 201), [360.0, 400.0])).tolist() == want
+    assert beta(bp(M=math.inf, omega=2.0), 0.0, 360.0) == 0.0
+    r = np.linspace(0.0, 5.0, 201).reshape(-1, 1)
+    assert gamma1(bp(m=0.6), r).tolist() == [[gamma1(bp(m=0.6), x)] for x in r[:, 0].tolist()]
+    assert gamma1(bp(m=0.6), r[:, 0]).tolist() == [
+        4.0 * 0.6**2 * x * x * math.exp(4.0 * 0.6 * x) for x in r[:, 0].tolist()]
+    assert gamma2(r).tolist() == [[gamma2(x)] for x in r[:, 0].tolist()]
+    with pytest.raises(NumericError):
+        gamma1(bp(), np.array([1.0, 1e4]))
+    with pytest.raises(NumericError):
+        beta(bp(omega=-1.0), 1.0, np.array([1.0, 800.0]))
+    with pytest.raises(DomainError):
+        beta(bp(), np.array([1.0, -1.0]), 1.0)
+
+
+def test_iss_rhs_stack_equals_each_case(comp_loglog):
+    p = bp(omega=2.0, C_B1=1.8, C_B2=0.5)
+    us = [random_signal(s, 1, Interval(0.0, 2.0), 16, 1.0) for s in range(4)]
+    u2 = random_signal(9, 1, Interval(0.0, 2.0), 5, 0.5)
+    s = np.array([0.0, 0.3, 1.1, 2.5])
+    times = np.linspace(0.0, 2.0, 41)
+    for u1, second in ((us, None), (us, u2), (None, us)):
+        got = iss_rhs(p, s, u1, second, comp_loglog, P2, times)
+        assert got.shape == (4, 41)
+        for i in range(4):
+            one = [None if u is None else u[i] if isinstance(u, list) else u
+                   for u in (u1, second)]
+            assert np.array_equal(got[i], iss_rhs(p, s[i], *one, comp_loglog, P2, times))
+    # with no horizon past 0 the case axis comes from x0_norm
+    assert iss_rhs(p, s, us, None, P2, P2, [0.0]).tolist() == [[beta(p, x, 0.0)] for x in s]
+    with pytest.raises(NumericError):
+        iss_rhs(bp(omega=2.0, C_B1=1e9), s, us, None, P2, P2, times)
+
+
+def test_audit_stack_equals_each_row():
+    grid = np.linspace(0.0, 1.0, 11)
+    states = np.exp(-grid)[None, :, None] * np.array([0.0, 0.5, 1.0, 2.0])[:, None, None]
+    traj = Trajectory(grid, states)
+    rhs = np.exp(-grid) * np.array([[1.0], [0.4], [1.5], [2.0]])
+    rep = audit(traj, rhs, tol=1e-9)
+    for i in range(4):
+        one = audit(Trajectory(grid, states[i]), rhs[i], tol=1e-9)
+        assert rep.max_violation[i] == one.max_violation
+        assert rep.min_slack_ratio[i] == one.min_slack_ratio
+        assert rep.worst_time[i] == one.worst_time and rep.passed[i] == one.passed
+    assert rep.passed.tolist() == [True, False, True, True] and rep.n_points == 11
+    with pytest.raises(ContractError):
+        audit(traj, rhs[:3], tol=1e-9)
+
+
+def test_audit_ratio_past_the_double_range_is_inf():
+    # rhs / ||x|| overflows: the slack reads inf, with no RuntimeWarning
+    traj = Trajectory(np.array([0.0, 1.0]), np.array([[1.0], [1e-300]]))
+    rep = audit(traj, np.array([2.0, 1e300]))
+    assert rep.min_slack_ratio == 2.0 and rep.passed
+    rep = audit(Trajectory(np.array([0.0]), np.array([[1e-300]])), np.array([1e300]))
+    assert rep.min_slack_ratio == math.inf

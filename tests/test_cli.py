@@ -12,14 +12,18 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isslab
-from isslab import diagonal, fokker_planck, mild_solver
-from isslab.cli import _DISPATCH, _REQUIRED, main
+from isslab import cli, diagonal, fokker_planck, mild_solver
+from isslab.cli import _DISPATCH, _REQUIRED, _checked, main
+from isslab.errors import IsslabError, NumericError
+from isslab.orlicz import YoungFunction, complementary
+from reference import audit_iss_rows, write_csv_rows
 
 
 def write_config(tmp_path, name, cfg):
@@ -561,6 +565,7 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": 2, "d": 2**62}}),
     ("orlicz-norm", {"signal": {**_SIGNAL, "cells": 2**62}}),
     ("audit-iss", {"cells": 2**62, "cases": 1}),
+    ("audit-iss", {"cases": 2**62}),
     # the norm has no tolerance to set
     ("orlicz-norm", {"tol": 1e-6}),
     # more modes than numpy can allocate
@@ -623,3 +628,79 @@ def test_unexpected_error_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 4
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "internal" and "ZeroDivisionError" in err["detail"]
+
+
+def _audit_files(params: dict, seed: int) -> tuple[int, str | None, str | int]:
+    """Exit code and results.csv of one in-process audit-iss run, and the
+    case-by-case reference's rows for the checked params (defaults filled
+    in), or the exit code its error maps to."""
+    checked = _checked(params, _DISPATCH["audit-iss"][1], "params")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps({"command": "audit-iss", "params": params}))
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "r"),
+                         "--seed", str(seed), "--quiet"])
+        out = Path(tmp) / "r" / "results.csv"
+        got = out.read_text() if out.exists() else None
+        try:
+            rows = audit_iss_rows(checked, seed, complementary(YoungFunction.loglog()))
+        except IsslabError as exc:
+            return code, got, 3 if isinstance(exc, NumericError) else 2
+        write_csv_rows(Path(tmp) / "ref.csv", ["case", "seed", "x0_norm", "max_violation",
+                                                "min_slack_ratio", "pass"], rows)
+        return code, got, (Path(tmp) / "ref.csv").read_text()
+
+
+# cases after case 0, which is a block alone: one short of a full block,
+# one full block, one past it, and several blocks with a partial one
+_CASES = {"0": lambda size: 0, "1": lambda size: 1, "block-1": lambda size: size,
+          "block": lambda size: 1 + size, "block+1": lambda size: 2 + size,
+          "several": lambda size: 2 + 3 * size}
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 12), cells=st.integers(1, 40), samples=st.integers(2, 60),
+       amplitude=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0),
+       T=st.sampled_from([0.5, 2.0, 3.0]), size=st.integers(1, 4),
+       cases=st.sampled_from(sorted(_CASES)), seed=st.integers(0, 2**20))
+def test_audit_blocks_equal_the_case_by_case_reference(N, cells, samples, amplitude, T,
+                                                       size, cases, seed):
+    # blocks of `size` cases: _BLOCK_BYTES sized to `size` (rows x cells) arrays
+    params = {"N": N, "T": T, "cells": cells, "samples": samples, "amplitude": amplitude,
+              "cases": _CASES[cases](size)}
+    with mock.patch.object(cli, "_BLOCK_BYTES", 8 * samples * cells * size):
+        code, got, want = _audit_files(params, seed)
+    if isinstance(want, int):  # the reference raised: the command exits alike
+        assert code == want
+    else:
+        assert code in (0, 1) and got == want
+
+
+@pytest.mark.parametrize("cases", [0, 1, 12, 13, 14, 40])
+def test_audit_block_edges_equal_the_reference(cases):
+    # the benchmark's config: 12 cases per block after case 0
+    assert cli._BLOCK_BYTES // (8 * 41 * 16) == 12
+    code, got, want = _audit_files({"N": 8, "T": 2.0, "cases": cases}, 7)
+    assert code == 0 and got == want
+
+
+def test_audit_rows_are_a_prefix_of_a_longer_run():
+    # a run's rows do not depend on where its blocks end
+    longer = _audit_files({"N": 5, "T": 1.5, "cases": 30}, 123)[1].splitlines()
+    for n in (1, 2, 12, 13, 14, 29):
+        lines = _audit_files({"N": 5, "T": 1.5, "cases": n}, 123)[1].splitlines()
+        assert lines == longer[:n + 1]
+
+
+@pytest.mark.parametrize("change, code", [
+    ({}, 3), ({"omega": -1.0}, 2), ({"tol": -1.0}, 2), ({"omega": 0.0, "tol": -1.0}, 2),
+    ({"C_B1": 400.0}, 3), ({"C_B1": 400.0, "tol": -1.0}, 3)])
+def test_audit_errors_met_as_case_by_case(change, code):
+    # case 0's closed form and bound are finite and case 2's closed form
+    # overflows, so case 0 meets a check that every case fails (omega <= 0,
+    # tol < 0) first; with C_B1 = 400 case 0's gain overflows before it
+    params = {"N": 4, "T": 20.0, "cells": 8, "amplitude": 50.0, "C_B1": 0.01, "cases": 14,
+              **change}
+    got = _audit_files(params, 0)
+    assert got[0] == got[2] == code

@@ -279,3 +279,57 @@ def test_admissibility_certificate(adm8):
     assert len(adm8["c_n"]) == 8
     # per-mode certificates shrink as the modes get stiffer
     assert all(a >= b for a, b in zip(adm8["c_n"][1:], adm8["c_n"][2:]))
+
+
+def test_closed_form_state_overflow_raises():
+    # the exponent is exactly 700, within its guard, but e^700 * 1e10 is not
+    # a double: the product leaves the range, so the call raises, unwarned
+    m, u = example3_model(1), Signal.constant(3.0, Interval(0.0, 175.0))
+    assert closed_form_exponents(m, u, 175.0)[0] == 700.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            closed_form_solution(m, [1e10], u, 175.0)
+        with pytest.raises(NumericError):
+            closed_form_trajectory(m, [1e10], u, [0.0, 175.0])
+        # the finite states keep their bits: e^700 times x0
+        assert closed_form_solution(m, [1e-10], u, 175.0)[0] == np.exp(700.0) * 1e-10
+        assert closed_form_solution(m, [0.0], u, 175.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("times", [0.75, [0.0, 0.3, 1.0, 2.0], np.linspace(0.0, 2.0, 41)])
+def test_closed_form_of_a_stack_equals_each_input(times):
+    m = example3_model(8)
+    us = [random_signal(s, 1, Interval(0.0, 2.0), 16, 1.5) for s in range(5)]
+    X0 = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 8))
+    # one x0 row per input, broadcast over the times
+    rows = X0.reshape((5,) + (1,) * np.ndim(times) + (8,))
+    expo = closed_form_exponents(m, us, times)
+    states = closed_form_solution(m, rows, us, times)
+    shared = closed_form_solution(m, X0[0], us, times)
+    traj = closed_form_trajectory(m, X0[:, None], us, np.atleast_1d(times))
+    for i, (u, x0) in enumerate(zip(us, X0)):
+        assert np.array_equal(expo[i], closed_form_exponents(m, u, times))
+        assert np.array_equal(states[i], closed_form_solution(m, x0, u, times))
+        assert np.array_equal(shared[i], closed_form_solution(m, X0[0], u, times))
+        one = closed_form_trajectory(m, x0, u, np.atleast_1d(times))
+        assert np.array_equal(traj.states[i], one.states)
+        assert np.array_equal(traj.norms[i], one.norms)
+
+
+def test_closed_form_stack_contract():
+    m = example3_model(3)
+    us = [random_signal(s, 1, Interval(0.0, 1.0), 4, 1.0) for s in range(2)]
+    assert closed_form_exponents(m, us, [0.0, 0.5]).shape == (2, 2, 3)
+    assert closed_form_solution(m, np.ones((2, 3)), us, 0.5).shape == (2, 3)
+    assert closed_form_solution(m, np.ones((2, 1, 3)), us, [0.0, 0.5]).shape == (2, 2, 3)
+    # x0 has the model's modes, and rows that broadcast against the inputs
+    with pytest.raises(DataError):
+        closed_form_solution(m, np.ones((2, 2)), us, 0.5)
+    with pytest.raises(ValueError):
+        closed_form_solution(m, np.ones((3, 3)), us, 0.5)
+    # the inputs share one grid and are scalar
+    with pytest.raises(DataError):
+        closed_form_exponents(m, [us[0], random_signal(5, 1, Interval(0.0, 1.0), 3, 1.0)], 0.5)
+    with pytest.raises(DomainError):
+        closed_form_exponents(m, [random_signal(5, 2, Interval(0.0, 1.0), 4, 1.0)] * 2, 0.5)

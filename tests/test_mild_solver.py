@@ -361,3 +361,15 @@ def test_trajectory_serialization(tmp_path):
     assert len(rows) == traj.grid.size + 1
     meta = traj.to_json()
     assert meta["status"] == "complete"
+
+
+def test_trajectory_stack_norms_are_each_trajectorys():
+    grid = np.linspace(0.0, 1.0, 5)
+    states = np.random.default_rng(4).normal(size=(3, 5, 2))
+    states[1, 2] = [1e300, 1e300]  # squares that overflow are rescaled
+    stack = Trajectory(grid, states)
+    assert stack.norms.shape == (3, 5)
+    for i in range(3):
+        assert np.array_equal(stack.norms[i], Trajectory(grid, states[i]).norms)
+    with pytest.raises(DataError):
+        Trajectory(grid, states[:, :4])

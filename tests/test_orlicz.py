@@ -500,3 +500,36 @@ def test_holder_random_sweep():
         hp = holder_pair(u, v, phi, iv)
         assert hp["lhs"] <= hp["rhs"] + 1e-10
 
+
+
+@given(
+    kind=st.integers(min_value=0, max_value=len(PREFIX_KINDS) - 1),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=6),
+    cells=st.integers(min_value=1, max_value=12),
+    d=st.integers(min_value=1, max_value=2),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0]),
+    inner=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_prefix_norms_of_a_stack_equal_each_signal(comp_loglog, kind, seeds, cells, d,
+                                                   scale, inner):
+    # one kernel call for the whole stack gives each signal's own prefix norms
+    phi = comp_loglog if PREFIX_KINDS[kind] == "tabulated" else PREFIX_KINDS[kind]
+    us = [random_signal(s, d, Interval(0.0, 2.0), cells, scale) for s in seeds]
+    ends = np.concatenate([[0.0], us[0].grid[1:], 2.0 * np.asarray(inner, dtype=float)])
+    got = prefix_luxemburg_norms(phi, us, ends)
+    assert got.shape == (len(us),) + ends.shape
+    for u, row in zip(us, got):
+        assert row.tolist() == prefix_luxemburg_norms(phi, u, ends).tolist()
+
+
+def test_prefix_norms_stack_contract():
+    phi = YoungFunction.power(2)
+    u = random_signal(2, 1, Interval(0.0, 1.0), 5, 1.0)
+    ends = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert prefix_luxemburg_norms(phi, (u, u, u), ends).shape == (3, 2, 3)
+    # a stack shares one grid and d, and holds at least one signal
+    for bad in ([], [u, random_signal(3, 1, Interval(0.0, 1.0), 4, 1.0)],
+                [u, random_signal(3, 2, Interval(0.0, 1.0), 5, 1.0)]):
+        with pytest.raises(DataError):
+            prefix_luxemburg_norms(phi, bad, ends)
