@@ -565,11 +565,12 @@ def test_mutated_config_exits_0_2_or_3(target, mutation):
     ("orlicz-norm", {"signal": {"t0": 0, "t1": 1, "constant": 2, "d": 2**62}}),
     ("orlicz-norm", {"signal": {**_SIGNAL, "cells": 2**62}}),
     ("audit-iss", {"cells": 2**62, "cases": 1}),
-    ("audit-iss", {"cases": 2**62}),
     # the norm has no tolerance to set
     ("orlicz-norm", {"tol": 1e-6}),
     # more modes than numpy can allocate
     ("admissibility-scan", {"N_list": [2**62]}),
+    # more cases than numpy can allocate
+    ("audit-iss", {"cases": 2**62}),
 ])
 def test_malformed_param_exits_2(command, change):
     config = {"command": command, "params": {**_VALID[command], **change}}
