@@ -11,8 +11,10 @@ No tolerance is involved.  One batched kernel serves the single norm, the
 per-mode norms behind diagonal's C_B1 and the prefix norms of a stack of
 signals (an audit block).  holder_pair is a test reference in tests/reference.py.
 
-Complementary functions are closed form for the s^p/p family and a
-tabulated Legendre transform otherwise (log grid, linear interpolation).
+Complementary functions are closed form for the s^p/p family and otherwise
+a table of the Legendre transform on log-spaced knots, linearly
+interpolated.  One bisection on the order of floats finds both the
+transform's maximizers and the kernel's fallback norms.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ _KINDS = ("power", "power_over_p", "loglog", "identity", "tabulated")
 _LEGENDRE_KNOTS = 512
 # values above this are treated as out of tabulation range
 _VALUE_CAP = 1e250
-# knots per (knots x grid) temporary in the batched Legendre grid search
-_LEGENDRE_CHUNK = 32
 # ulp steps that bring a Newton norm onto the smallest feasible float
 _NUDGE_CAP = 64
 # Newton sweeps on a modular before its rows fall back to bisection
@@ -136,7 +136,8 @@ class YoungFunction:
         if self.kind == "identity":
             return s.copy()
         if self.kind == "loglog":
-            return s * np.log(np.log(s + math.e))
+            # ln(s+e) = 1 + log1p(s/e) keeps the digits near 0
+            return s * np.log1p(np.log1p(s / math.e))
         # pin at the origin; extrapolate above with the last slope
         xp, fp = self._x0[1:], self._f0[1:]
         out = np.interp(s, xp, fp)
@@ -146,17 +147,19 @@ class YoungFunction:
         return out
 
     def _value_slope(self, s: np.ndarray):
-        """Phi and its left slope, a subgradient, on a float array s >= 0 for
-        a kind other than identity, without checks; the caller owns the
-        floating-point error state.  A tabulated Phi takes one searchsorted."""
+        """Phi and its left slope, a subgradient, on a float array s >= 0,
+        without checks; the caller owns the floating-point error state.  The
+        identity kind has slope 1; a tabulated Phi takes one searchsorted."""
+        if self.kind == "identity":
+            return s.copy(), np.ones_like(s)
         if self.kind == "tabulated":
             j = np.searchsorted(self._x0[1:], s)
             g = self._g0[j]
             return self._f0[j] + g * (s - self._x0[j]), g
         if self.kind == "loglog":
-            ln = np.log(s + math.e)
-            lnln = np.log(ln)
-            return s * lnln, lnln + s / ((s + math.e) * ln)
+            ln1 = np.log1p(s / math.e)
+            lnln = np.log1p(ln1)
+            return s * lnln, lnln + s / ((s + math.e) * (1.0 + ln1))
         v = s ** (self.p - 1.0)
         if self.kind == "power":
             return v * s, self.p * v
@@ -169,66 +172,42 @@ class YoungFunction:
 
 
 def legendre_transform(phi: YoungFunction, s):
-    """Phi~(s) = sup_{t>=0} (s*t - Phi(t)), by coarse grid + golden section.
+    """Phi~(s) = sup_{t>=0} (s*t - Phi(t)), at the maximizer's floats.
 
     s is a scalar (returns a float) or an array (returns an array of the
-    same shape).  The objective is concave in t for convex Phi, so the grid
-    argmax brackets each maximizer and golden-section refinement converges;
-    every element runs its own refinement until its bracket is 1e-14 of its
-    upper end wide.  The grid spans t in [1e-12, 1e290]; an element whose
-    argmax is the first grid point searches again on [1e-300, 1e-11].
+    same shape).  For convex Phi the maximizer is where the left slope of
+    Phi reaches s; _float_bisect finds, on t in [0, 1e290], the two adjacent
+    floats around it, and the larger objective of the two is the value (inf
+    where it overflows).  The identity kind has slope 1 everywhere.  A Phi
+    that is not convex (a table with non-convex knots) gets a local maximum.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise DomainError("Legendre transform argument must be >= 0")
-    out = np.zeros(s_arr.size)
-    live = np.flatnonzero(s_arr.ravel() != 0.0)
-    sv = s_arr.ravel()[live]
+    sv = s_arr.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, i = _legendre_search(phi, sv, np.logspace(-12, 290, 3000))
-        low = np.flatnonzero(i == 0)
-        if low.size:
-            vals[low] = _legendre_search(phi, sv[low], np.logspace(-300, -11, 3000))[0]
-    out[live] = vals
-    out = out.reshape(s_arr.shape)
+        t = np.stack(_float_bisect(lambda t, sel: phi._value_slope(t)[1] >= sv[sel],
+                                   np.zeros(sv.size), np.full(sv.size, 1e290)))
+        g = sv * t - phi._eval(t)
+    out = np.maximum(np.where(np.isnan(g), np.inf, g).max(axis=0), 0.0).reshape(s_arr.shape)
     return out if out.ndim else float(out)
 
 
-def _legendre_search(phi: YoungFunction, sv: np.ndarray, t: np.ndarray):
-    """max over t >= 0 of sv*t - Phi(t), one per element of sv, and the grid
-    argmax index: golden section on the grid cells around the argmax until
-    b - a <= 1e-14 b.  The caller owns the floating-point state."""
-    i = np.empty(sv.size, dtype=np.intp)
-    best = np.empty(sv.size)
-    pt = phi._eval(t)
-    for c0 in range(0, sv.size, _LEGENDRE_CHUNK):
-        g = sv[c0:c0 + _LEGENDRE_CHUNK, None] * t - pt
-        g = np.where(np.isfinite(g), g, -np.inf)
-        ic = np.argmax(g, axis=1)
-        i[c0:c0 + ic.size] = ic
-        best[c0:c0 + ic.size] = np.maximum(g[np.arange(ic.size), ic], 0.0)
-    a = t[np.maximum(i - 1, 0)]
-    b = t[np.minimum(i + 1, t.size - 1)]
-    invphi = (math.sqrt(5) - 1) / 2
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = sv * c - phi._eval(c)
-    fd = sv * d - phi._eval(d)
-    run = np.arange(sv.size)
-    for _ in range(200):
-        if run.size == 0:
-            break
-        left = fc[run] > fd[run]
-        j, k = run[left], run[~left]
-        b[j], d[j], fd[j] = d[j], c[j], fc[j]
-        c[j] = b[j] - invphi * (b[j] - a[j])
-        fc[j] = sv[j] * c[j] - phi._eval(c[j])
-        a[k], c[k], fc[k] = c[k], d[k], fd[k]
-        d[k] = a[k] + invphi * (b[k] - a[k])
-        fd[k] = sv[k] * d[k] - phi._eval(d[k])
-        run = run[b[run] - a[run] > 1e-14 * b[run]]
-    # fmax skips a NaN objective, as the scalar max() did
-    return np.fmax(np.fmax(np.fmax(best, fc), fd), 0.0), i
+def _float_bisect(test, lo, hi):
+    """Adjacent floats a < b, one pair per element of the arrays lo <= hi of
+    floats >= 0, around the point where a monotone test turns from false to
+    true; the test is taken false at lo and true at hi, not evaluated there.
+    Such floats are ordered as their bit patterns read as int64, so
+    bisection on those integers ends in at most 63 sweeps.  test(t, sel)
+    judges floats t for the elements sel."""
+    a, b = lo.view(np.int64).copy(), hi.view(np.int64).copy()
+    sel = np.flatnonzero(b - a > 1)
+    while sel.size:
+        mid = a[sel] + (b[sel] - a[sel]) // 2
+        ok = test(mid.view(float), sel)
+        b[sel[ok]], a[sel[~ok]] = mid[ok], mid[~ok]
+        sel = sel[b[sel] - a[sel] > 1]
+    return a.view(float), b.view(float)
 
 
 def complementary(phi: YoungFunction) -> YoungFunction:
@@ -240,12 +219,10 @@ def complementary(phi: YoungFunction) -> YoungFunction:
         q = phi.p / (phi.p - 1.0)
         return YoungFunction.power_over_p(q)
 
-    # find where the transform leaves representable range, then tabulate
-    s_max = 1.0
-    while s_max < 1e6:
-        if legendre_transform(phi, 2.0 * s_max) >= _VALUE_CAP:
-            break
-        s_max *= 2.0
+    # tabulate up to s_max = 2^j, the first j with Phi~(2^(j+1)) out of
+    # range, or 2^20
+    big = legendre_transform(phi, 2.0 ** np.arange(1, 21)) >= _VALUE_CAP
+    s_max = 2.0 ** np.argmax(np.append(big, True))
     s_knots = np.logspace(-6, math.log10(s_max), _LEGENDRE_KNOTS)
     vals = legendre_transform(phi, s_knots)
     keep = vals < _VALUE_CAP
@@ -334,21 +311,10 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
             hi[sel[down]] = norm[sel[down]]
             bisect[sel] = True
         hi = np.where(bisect, hi, norm)
-
-        # bisect on compact copies until lo and hi are adjacent floats: the
-        # midpoint of two floats that are not adjacent lies strictly between
-        sel = np.flatnonzero(bisect & ~zero & (np.nextafter(lo, np.inf) < hi))
-        lo_s, hi_s, w, rs, mask = lo[sel], hi[sel], W[sel], R[sel], live[sel]
-        while sel.size:
-            mid = 0.5 * (lo_s + hi_s)
-            ok = feasible(w, rs, mask, mid)
-            hi_s = np.where(ok, mid, hi_s)
-            lo_s = np.where(ok, lo_s, mid)
-            going = np.nextafter(lo_s, np.inf) < hi_s
-            if not going.all():
-                hi[sel] = hi_s
-                sel, lo_s, hi_s = sel[going], lo_s[going], hi_s[going]
-                w, rs, mask = w[going], rs[going], mask[going]
+        # the rows left bisect onto their smallest feasible float
+        sel = np.flatnonzero(bisect & ~zero)
+        hi[sel] = _float_bisect(lambda k, i: feasible(W[sel[i]], R[sel[i]], live[sel[i]], k),
+                                lo[sel], hi[sel])[1]
     out[rows] = np.where(zero | (hi < 1e-300), 0.0, hi)
     return out
 

@@ -186,7 +186,7 @@ def _allocate(make, *args) -> np.ndarray:
     try:
         return make(*args)
     except (OverflowError, ValueError, MemoryError) as exc:
-        raise DomainError(f"signal size does not fit in memory: {exc}") from exc
+        raise DomainError(f"array size does not fit in memory: {exc}") from exc
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -579,6 +579,18 @@ def test_malformed_param_exits_2(command, change):
     assert json.loads(err)["error"] == "config"
 
 
+
+@pytest.mark.parametrize("command, change", [
+    ("audit-iss", {"cases": 2**62}),
+    ("admissibility-scan", {"N_list": [2**62]}),
+])
+def test_refused_array_size_is_not_called_a_signal(command, change):
+    # neither the audit's figure arrays nor the scan's mode grid is a signal
+    code, err = _run_quietly({"command": command, "params": {**_VALID[command], **change}})
+    assert code == 2
+    detail = json.loads(err)["detail"]
+    assert "does not fit in memory" in detail and "signal" not in detail
+
 @pytest.mark.parametrize("command, change", [
     ("fp-gap", {"nu": 1e300}),
     ("fp-gap", {"nu": 1e-4, "W": {"expr": "cos(2*pi*x)/2"}}),

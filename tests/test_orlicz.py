@@ -81,40 +81,38 @@ def test_tabulated_functions_compare_by_knot_values():
 
 
 def test_legendre_transform_matches_closed_form():
+    s = np.logspace(-6, 6)
     phi = YoungFunction.power_over_p(3)
-    conj = complementary(phi)
-    for s in (0.5, 1.0, 2.0):
-        exact = conj(s)
-        assert legendre_transform(phi, s) == pytest.approx(exact, rel=1e-6)
+    assert np.max(np.abs(legendre_transform(phi, s) / complementary(phi)(s) - 1)) <= 1e-14
+    for p in (1.1, 2.0, 7.0):
+        exact = (p - 1.0) * (s / p) ** (p / (p - 1.0))
+        assert np.max(np.abs(legendre_transform(YoungFunction.power(p), s) / exact - 1)) <= 1e-14
     assert legendre_transform(phi, 0.0) == 0.0
 
 
-def _legendre_one(phi, s):
-    """Per-knot reference: grid argmax, then golden section on one s."""
-    if s == 0.0:
-        return 0.0
-    t = np.logspace(-12, 290, 3000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = s * t - phi(t)
-    g = np.where(np.isfinite(g), g, -np.inf)
-    i = int(np.argmax(g))
-    best = max(g[i], 0.0)
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = s * c - phi(c), s * d - phi(d)
-    for _ in range(200):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = s * c - phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = s * d - phi(d)
-        if b - a <= 1e-14 * b:
-            break
-    return float(max(best, fc, fd, 0.0))
+def test_loglog_conjugate_identity():
+    # Phi~(Phi'(t)) = t Phi'(t) - Phi(t) for Phi(t) = t ln ln(t+e), in a
+    # form without cancellation: t / ((1 + e/t)(1 + log1p(t/e)))
+    t = np.logspace(-12, 280, 400)
+    phi = YoungFunction.loglog()
+    slope = phi._value_slope(t)[1]
+    exact = t / ((1.0 + math.e / t) * (1.0 + np.log1p(t / math.e)))
+    assert np.max(np.abs(legendre_transform(phi, slope) / exact - 1)) <= 1e-11
+
+
+def test_legendre_transform_edge_values():
+    # HAND_PHI: slopes 1, 3, 6 on (0, 1], (1, 2], (2, inf); the sup sits at
+    # the knot where the slope passes s
+    assert legendre_transform(HAND_PHI, np.array([0.5, 2.0, 3.0, 5.0, 6.0])).tolist() == [
+        0.0, 1.0, 2.0, 6.0, 8.0]
+    # identity: 0 up to slope 1, then the search end t = 1e290
+    assert legendre_transform(YoungFunction.identity(), [0.0, 0.5, 1.0, 2.0]).tolist() == [
+        0.0, 0.0, 0.0, 1e290]
+    # (s/2)^2 past the double range stays inf
+    assert legendre_transform(YoungFunction.power(2), [1e200, 1e300]).tolist() == [math.inf] * 2
+    value = legendre_transform(YoungFunction.loglog(), 2.0)
+    assert type(value) is float and value > 0
+    assert legendre_transform(YoungFunction.loglog(), 0.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -126,7 +124,7 @@ def test_legendre_transform_batch_matches_per_knot(phi):
     s = np.concatenate([[0.0], np.logspace(-6, 6, 101)])
     batch = legendre_transform(phi, s)
     assert batch.shape == s.shape
-    assert np.array_equal(batch, [_legendre_one(phi, x) for x in s])
+    assert np.array_equal(batch, [legendre_transform(phi, x) for x in s])
     assert legendre_transform(phi, float(s[40])) == batch[40]
     assert np.array_equal(legendre_transform(phi, s.reshape(3, -1)), batch.reshape(3, -1))
     with pytest.raises(DomainError):
@@ -134,10 +132,9 @@ def test_legendre_transform_batch_matches_per_knot(phi):
 
 
 def test_complementary_knots_match_per_knot_transform(comp_loglog):
-    # every maximizer lies on the [1e-12, 1e290] grid, so no knot searches
-    # the lower grid and the table keeps its bits
+    # the table is one batched transform, bit for bit the per-knot values
     s, vals = comp_loglog.knots[:, 0], comp_loglog.knots[:, 1]
-    assert np.array_equal(vals, [_legendre_one(YoungFunction.loglog(), x) for x in s])
+    assert np.array_equal(vals, [legendre_transform(YoungFunction.loglog(), x) for x in s])
 
 
 @pytest.mark.parametrize("p", [1.1, 1.5])
@@ -155,7 +152,8 @@ def test_complementary_power_knots_below_the_grid(p):
 
 def test_tabulated_conjugate_interpolation_accuracy():
     phi = YoungFunction.power_over_p(3)
-    tab_knots = np.array([[s, legendre_transform(phi, s)] for s in np.geomspace(0.01, 10, 2000)])
+    t = np.geomspace(0.01, 10, 2000)
+    tab_knots = np.column_stack([t, legendre_transform(phi, t)])
     tab = YoungFunction.tabulated(tab_knots)
     s = np.array([0.5, 1.0, 2.0])
     exact = complementary(phi)(s)
