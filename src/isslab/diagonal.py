@@ -16,8 +16,7 @@ bound audits.  The module also provides the admissibility arithmetic: the
 per-mode L^2 (Cauchy-Schwarz) constants whose growth in N is the evidence
 that the control operator is not L^p-admissible for any finite p, and the
 small-norm certificates that establish admissibility in the Orlicz space
-built from Phi~(x) = x ln(ln(x+e)).  The divergent Carleson-type series
-terms, carleson_series_term, are a test reference in tests/reference.py.
+built from Phi~(x) = x ln(ln(x+e)).
 """
 
 from __future__ import annotations
@@ -97,17 +96,21 @@ def closed_form_exponents(m: SystemModel, u, t) -> np.ndarray:
 def closed_form_solution(m: SystemModel, x0, u, t) -> np.ndarray:
     """x_n(t) = exp(lambda_n t + mu_n int_0^t u) x_n(0), exactly; an array
     of times gives one state row per time, and x0 broadcasts against them.
-    NumericError if an exponent above 700 meets an x0_n != 0 or a state
-    overflows."""
+    An exponent above 700 takes h (h x0_n), h = exp(exponent / 2), so every
+    state that is a double comes out as one.  NumericError if one overflows."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != m.dim:
         raise DataError(f"x0 has {x0.shape[-1]} modes, the model {m.dim}")
     expo = closed_form_exponents(m, u, t)
-    with np.errstate(under="ignore", over="ignore"):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         x = np.exp(np.minimum(expo, _EXP_OVERFLOW)) * x0
-    if np.any((expo > _EXP_OVERFLOW) & (x0 != 0)) or np.any(np.isinf(x)):
-        raise NumericError("closed_form_solution: an exponent above 700 or an overflowing "
-                           "state; work with closed_form_exponents (log domain) instead")
+        big = expo > _EXP_OVERFLOW
+        if np.any(big):
+            h = np.exp(expo / 2.0)
+            x = np.where(big & (x0 != 0), h * (h * x0), x)
+    if np.any(np.isinf(x)):
+        raise NumericError("closed_form_solution: a state leaves the double range; "
+                           "work with closed_form_exponents (log domain) instead")
     return x
 
 

@@ -9,7 +9,7 @@ takes one algorithm: a bracket, Newton on the modular in 1/k, and ulp steps
 onto the smallest feasible float, with bisection to it as the fallback.
 No tolerance is involved.  One batched kernel serves the single norm, the
 per-mode norms behind diagonal's C_B1 and the prefix norms of a stack of
-signals (an audit block).  holder_pair is a test reference in tests/reference.py.
+signals (an audit block).
 
 Complementary functions are closed form for the s^p/p family and otherwise
 a table of the Legendre transform on log-spaced knots, linearly
@@ -62,9 +62,9 @@ class YoungFunction:
     knots: np.ndarray | None = field(default=None, compare=False)
     # tabulated kinds compare and hash by their knot values
     _knot_values: tuple | None = field(default=None, init=False, repr=False)
-    # tabulated kinds: piece j = searchsorted(_x0[1:], s) of the knots pinned
-    # at the origin starts at _x0[j] with value _f0[j] and slope _g0[j]; piece
-    # 0 repeats piece 1 and the last one extrapolates above the last knot
+    # tabulated kinds: piece j = searchsorted(_x0[1:], s, "right") of the knots
+    # pinned at the origin starts at _x0[j] with value _f0[j] and slope _g0[j]
+    # (index 0 unused); the last piece extrapolates above the last knot
     _x0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _f0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _g0: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -122,48 +122,29 @@ class YoungFunction:
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < 0):
             raise DomainError("Young functions are defined for s >= 0 only")
-        with np.errstate(over="ignore"):
-            out = self._eval(s_arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._value_slope(s_arr)[0]
         return out if out.ndim else float(out)
 
-    def _eval(self, s: np.ndarray) -> np.ndarray:
-        """Phi on a float array s >= 0, without checks; the caller owns the
-        floating-point error state."""
-        if self.kind == "power":
-            return s**self.p
-        if self.kind == "power_over_p":
-            return s**self.p / self.p
-        if self.kind == "identity":
-            return s.copy()
-        if self.kind == "loglog":
-            # ln(s+e) = 1 + log1p(s/e) keeps the digits near 0
-            return s * np.log1p(np.log1p(s / math.e))
-        # pin at the origin; extrapolate above with the last slope
-        xp, fp = self._x0[1:], self._f0[1:]
-        out = np.interp(s, xp, fp)
-        top = s > xp[-1]
-        if np.any(top):
-            out = np.where(top, fp[-1] + self._g0[-1] * (s - xp[-1]), out)
-        return out
-
     def _value_slope(self, s: np.ndarray):
-        """Phi and its left slope, a subgradient, on a float array s >= 0,
-        without checks; the caller owns the floating-point error state.  The
-        identity kind has slope 1; a tabulated Phi takes one searchsorted."""
+        """Phi and a subgradient on a float array s >= 0, without checks; the
+        caller owns the floating-point error state.  The identity kind has slope
+        1; a tabulated Phi takes the piece that holds s from one right-continuous
+        searchsorted, so a knot reads back its value and takes the right slope."""
         if self.kind == "identity":
             return s.copy(), np.ones_like(s)
         if self.kind == "tabulated":
-            j = np.searchsorted(self._x0[1:], s)
+            j = np.searchsorted(self._x0[1:], s, "right")
             g = self._g0[j]
             return self._f0[j] + g * (s - self._x0[j]), g
         if self.kind == "loglog":
-            ln1 = np.log1p(s / math.e)
+            ln1 = np.log1p(s / math.e)  # ln(s+e) = 1 + ln1 keeps the digits near 0
             lnln = np.log1p(ln1)
             return s * lnln, lnln + s / ((s + math.e) * (1.0 + ln1))
         v = s ** (self.p - 1.0)
         if self.kind == "power":
-            return v * s, self.p * v
-        return v * s / self.p, v
+            return s**self.p, self.p * v
+        return s**self.p / self.p, v
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +156,12 @@ def legendre_transform(phi: YoungFunction, s):
     """Phi~(s) = sup_{t>=0} (s*t - Phi(t)), at the maximizer's floats.
 
     s is a scalar (returns a float) or an array (returns an array of the
-    same shape).  For convex Phi the maximizer is where the left slope of
-    Phi reaches s; _float_bisect finds, on t in [0, 1e290], the two adjacent
-    floats around it, and the larger objective of the two is the value (inf
-    where it overflows).  The identity kind has slope 1 everywhere.  A Phi
+    same shape).  For convex Phi the maximizer is where _value_slope's
+    subgradient (at a knot the right slope) reaches s; _float_bisect finds,
+    on t in [0, 1e290], the two adjacent floats around it, and the value is
+    the larger objective of the two: inf where it overflows or s exceeds the
+    slope at t = inf (identity's 1, a table's last).  Loglog under-reports
+    above s = 6.5, its maximizer past 1e290 (its table ends at s = 4).  A Phi
     that is not convex (a table with non-convex knots) gets a local maximum.
     """
     s_arr = np.asarray(s, dtype=float)
@@ -188,7 +171,8 @@ def legendre_transform(phi: YoungFunction, s):
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.stack(_float_bisect(lambda t, sel: phi._value_slope(t)[1] >= sv[sel],
                                    np.zeros(sv.size), np.full(sv.size, 1e290)))
-        g = sv * t - phi._eval(t)
+        g = np.where(sv > phi._value_slope(np.array(np.inf))[1], np.inf,
+                     sv * t - phi._value_slope(t)[0])
     out = np.maximum(np.where(np.isnan(g), np.inf, g).max(axis=0), 0.0).reshape(s_arr.shape)
     return out if out.ndim else float(out)
 
@@ -256,7 +240,7 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
     W, live, k = W[rows], live[rows], k[rows]
 
     def feasible(w, r, mask, scale):
-        vals = phi._eval(r / scale[:, None])
+        vals = phi._value_slope(r / scale[:, None])[0]
         terms = w * np.where(np.isfinite(vals), vals, np.inf)
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
 
@@ -321,10 +305,10 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
 
 def _newton(phi, r, W, live, lo, hi, zero):
     """Newton on the convex modular M(lam) = sum w Phi(r lam), lam = 1/k,
-    from lam = 1/lo with _value_slope's left slopes: they are subgradients,
-    so lam falls, and for a piecewise-linear Phi the step from the root's
-    piece lands on it.  Returns k = 1/lam, and the rows left to bisect (a
-    step not finite or past the feasible end 1/hi); sweeps skip finished rows."""
+    from lam = 1/lo with _value_slope's slopes (at a knot the right one):
+    subgradients, so lam falls, and for a piecewise-linear Phi the step from
+    the root's piece lands on it.  Returns k = 1/lam, and the rows left to
+    bisect (a step not finite or past the feasible end 1/hi); sweeps skip finished rows."""
     lam, bisect, sel = 1.0 / lo, np.zeros(lo.size, dtype=bool), np.flatnonzero(~zero)
     for _ in range(_NEWTON_CAP):
         if sel.size == 0:

@@ -297,6 +297,17 @@ def test_closed_form_state_overflow_raises():
         assert closed_form_solution(m, [0.0], u, 175.0)[0] == 0.0
 
 
+def test_closed_form_state_past_exponent_700():
+    # exponent 705 at x0 = 1e-3: e^705 * 1e-3 is a double, taken as h (h x0)
+    # with h = e^352.5; a zero x0 entry stays 0
+    m, u = example3_model(1), Signal.constant(3.0, Interval(0.0, 176.25))
+    assert closed_form_exponents(m, u, 176.25)[0] == 705.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert closed_form_solution(m, [1e-3], u, 176.25)[0] == 1.505253833063194e+303
+        assert closed_form_solution(m, [0.0], u, 176.25)[0] == 0.0
+
+
 @pytest.mark.parametrize("times", [0.75, [0.0, 0.3, 1.0, 2.0], np.linspace(0.0, 2.0, 41)])
 def test_closed_form_of_a_stack_equals_each_input(times):
     m = example3_model(8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ ALL_KINDS = [
     YoungFunction.loglog(),
     YoungFunction.identity(),
 ]
+
+# Phi through (0, 0), (1, 1), (2, 4), (4, 16), with slope 6 above s = 4
+HAND_PHI = YoungFunction.tabulated([[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]])
 
 
 # -- evaluation ------------------------------------------------------------
@@ -59,6 +63,52 @@ def test_young_growth_conditions(phi):
     # nearly-linear kind, so only a factor is asserted here)
     assert phi(1e6) / 1e6 > 5.0 * max(phi(1.0), 1e-12)
     assert phi(1e12) / 1e12 > phi(1e6) / 1e6
+
+
+# power kinds whose s^p is not s^(p-1) * s in every bit
+CLOSED_KINDS = [*ALL_KINDS, YoungFunction.power(3.5), YoungFunction.power_over_p(2.5)]
+
+
+@pytest.fixture(scope="module")
+def evaluators(comp_loglog):
+    return [*CLOSED_KINDS, HAND_PHI, comp_loglog, complementary(YoungFunction.power(1.01))]
+
+
+def test_call_reads_value_slope(evaluators):
+    # one evaluator: Phi(s) is the value of _value_slope, bit for bit
+    s = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e12, 400), [1e300]])
+    for phi in evaluators:
+        with np.errstate(over="ignore"):
+            value = phi._value_slope(s)[0]
+        assert np.array_equal(phi(s), value)
+
+
+def test_tabulated_knots_read_back_exactly(evaluators):
+    # the right-continuous lookup reads a knot on the piece it starts
+    for phi in (p for p in evaluators if p.kind == "tabulated"):
+        assert np.array_equal(phi(phi.knots[:, 0]), phi.knots[:, 1])
+
+
+def test_phi_at_infinity_is_inf(evaluators):
+    # loglog's slope there is inf/inf, which __call__ must not warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [phi(math.inf) for phi in evaluators] == [math.inf] * len(evaluators)
+
+
+@given(kind=st.integers(min_value=0, max_value=len(CLOSED_KINDS) + 2), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_slope_is_a_subgradient(evaluators, kind, data):
+    # Phi(t) >= Phi(s) + g(s) (t - s) for s and t in both orders, with the
+    # knots, where a table's slope changes, among the points
+    phi = evaluators[kind]
+    knots = phi.knots[:, 0].tolist() if phi.kind == "tabulated" else [1.0]
+    point = st.one_of(st.floats(min_value=0.0, max_value=1e4), st.sampled_from(knots))
+    s = np.array([data.draw(point), data.draw(point)])
+    val, g = phi._value_slope(s)
+    for i, j in ((0, 1), (1, 0)):
+        step = g[i] * (s[j] - s[i])
+        assert val[j] >= val[i] + step - 1e-12 * (val[i] + abs(step) + val[j])
 
 
 # -- complementary functions ----------------------------------------------
@@ -101,13 +151,13 @@ def test_loglog_conjugate_identity():
 
 
 def test_legendre_transform_edge_values():
-    # HAND_PHI: slopes 1, 3, 6 on (0, 1], (1, 2], (2, inf); the sup sits at
-    # the knot where the slope passes s
-    assert legendre_transform(HAND_PHI, np.array([0.5, 2.0, 3.0, 5.0, 6.0])).tolist() == [
-        0.0, 1.0, 2.0, 6.0, 8.0]
-    # identity: 0 up to slope 1, then the search end t = 1e290
+    # HAND_PHI: slopes 1, 3, 6 on [0, 1), [1, 2), [2, inf); the sup sits at
+    # the knot where the slope passes s, and is inf past the last slope
+    assert legendre_transform(HAND_PHI, np.array([0.5, 2.0, 3.0, 5.0, 6.0, 7.0])).tolist() == [
+        0.0, 1.0, 2.0, 6.0, 8.0, math.inf]
+    # identity: 0 up to slope 1, then inf
     assert legendre_transform(YoungFunction.identity(), [0.0, 0.5, 1.0, 2.0]).tolist() == [
-        0.0, 0.0, 0.0, 1e290]
+        0.0, 0.0, 0.0, math.inf]
     # (s/2)^2 past the double range stays inf
     assert legendre_transform(YoungFunction.power(2), [1e200, 1e300]).tolist() == [math.inf] * 2
     value = legendre_transform(YoungFunction.loglog(), 2.0)
@@ -141,8 +191,8 @@ def test_complementary_knots_match_per_knot_transform(comp_loglog):
 def test_complementary_power_knots_below_the_grid(p):
     # s^p has its maximizers t = (s/p)^{1/(p-1)} below 1e-12 at the small
     # knots (s < 0.066 for p = 1.1), where the transform (p-1)(s/p)^q is tiny
-    # but positive; a search stop relative to the maximizer keeps every knot
-    # accurate, where one absolute below t = 1 left knots 1e-6 off
+    # but positive; the bisection on the order of floats reaches such t, so
+    # every knot keeps its relative accuracy
     knots = complementary(YoungFunction.power(p)).knots
     s, vals = knots[:, 0], knots[:, 1]
     assert s.size == 512 and np.all(vals > 0)
@@ -340,10 +390,6 @@ def test_kernel_rows_equal_their_single_norms(comp_loglog, kind, rows, pad):
     assert got.tolist() == [luxemburg_norm(phi, u) for u in us]
 
 
-# Phi through (0, 0), (1, 1), (2, 4), (4, 16), with slope 6 above s = 4
-HAND_PHI = YoungFunction.tabulated([[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]])
-
-
 @pytest.mark.parametrize("grid, values, exact", [
     ([0.0, 1.0], [0.3], 0.3),  # Phi(c/k) = 1 on [0, 1]: k = c
     ([0.0, 1.0], [7.5], 7.5),
@@ -409,18 +455,18 @@ def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
 @pytest.mark.parametrize("phi", [YoungFunction.power(3.5), YoungFunction.loglog()],
                          ids=lambda p: p.kind)
 def test_newton_stopped_below_the_root_bisects(phi, monkeypatch):
-    # a modular read 1e-9 low stops Newton millions of ulps below the root,
-    # farther than the ulp walk goes: the row bisects from the walk's last
+    # a Newton norm 1e-9 low lies millions of ulps below the root, farther
+    # than the ulp walk goes: the row bisects from the walk's last
     # infeasible float to the bracket's feasible end, onto the same norm
     u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
     exact = luxemburg_norm(phi, u)
-    value_slope = YoungFunction._value_slope
+    newton = orlicz._newton
 
-    def low(self, s):
-        val, g = value_slope(self, s)
-        return val * (1.0 - 1e-9), g
+    def low(*args):
+        norm, bisect = newton(*args)
+        return norm * (1.0 - 1e-9), bisect
 
-    monkeypatch.setattr(YoungFunction, "_value_slope", low)
+    monkeypatch.setattr(orlicz, "_newton", low)
     assert luxemburg_norm(phi, u) == exact
 
 
