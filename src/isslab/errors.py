@@ -17,8 +17,8 @@ class DataError(IsslabError):
 
 
 class NumericError(IsslabError):
-    """A numerical procedure failed (overflow, bracket not found,
-    iteration did not converge)."""
+    """A numerical procedure failed (overflow, a result past the double
+    range, iteration did not converge)."""
 
 
 class ContractError(IsslabError):

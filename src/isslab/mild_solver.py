@@ -140,10 +140,12 @@ class Trajectory:
 
 def _window_nodes(a: float, b: float, u1: Signal | None, u2: Signal | None,
                   quad_h: float) -> np.ndarray:
-    nodes = np.linspace(a, b, max(2, int(math.ceil((b - a) / quad_h))) + 1)
-    for u in (u for u in (u1, u2) if u is not None):
-        nodes = np.union1d(nodes, u.grid[(u.grid > a) & (u.grid < b)])
-    return nodes
+    # sorted and without repeats, as np.union1d gives, but without np.unique,
+    # whose masked-array check imports numpy.ma on every run
+    grids = [u.grid[(u.grid > a) & (u.grid < b)] for u in (u1, u2) if u is not None]
+    nodes = np.sort(np.concatenate(
+        [np.linspace(a, b, max(2, int(math.ceil((b - a) / quad_h))) + 1), *grids]))
+    return nodes[np.append(True, nodes[1:] != nodes[:-1])]
 
 
 def _l2_norms(u: Signal):

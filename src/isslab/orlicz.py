@@ -5,11 +5,12 @@ and -> infinity at infinity.  The identity kind is the explicit L^1
 convention and is exempt from the growth conditions.  The Luxemburg norm of
 a piecewise-constant signal is computed exactly: the defining integral is a
 finite sum of rectangle terms, convex in 1/k.  Every kind but identity
-takes one algorithm: a bracket, Newton on the modular in 1/k, and ulp steps
-onto the smallest feasible float, with bisection to it as the fallback.
-No tolerance is involved.  One batched kernel serves the single norm, the
-per-mode norms behind diagonal's C_B1 and the prefix norms of a stack of
-signals (an audit block).
+takes one algorithm: Newton on the modular in 1/k from k = max r, its
+first step in log space, and ulp steps onto the smallest feasible float,
+with bisection to it as the fallback.  No tolerance is involved.  One
+batched kernel serves the single norm, the per-mode norms behind
+diagonal's C_B1 and the prefix norms of a stack of signals (an audit
+block).
 
 Complementary functions are closed form for the s^p/p family and otherwise
 a table of the Legendre transform on log-spaced knots, linearly
@@ -222,11 +223,12 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
     """Luxemburg norms, one per row of cell widths W, of the cell norms r
     broadcast to W's shape; a zero width leaves the cell out of its row.
 
-    One algorithm for every kind but identity: each row halves or doubles k
-    from its largest r until the modular crosses 1, runs _newton, and walks
-    the Newton norm by ulps onto the smallest feasible float.  A row Newton
-    or the walk cannot finish bisects until its ends are adjacent floats and
-    returns the feasible one.  No row under-reports; a norm below 1e-300 is 0.
+    One algorithm for every kind but identity: each row runs _newton from
+    k = its largest r and walks the Newton norm by ulps onto the smallest
+    feasible float.  A row Newton or the walk cannot finish bisects until its
+    ends are adjacent floats and returns the feasible one.  No row
+    under-reports: a norm past the double range raises NumericError, and
+    a norm below 1e-300 is 0.
     """
     live = W > 0
     if phi.kind == "identity":
@@ -244,39 +246,14 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
         terms = w * np.where(np.isfinite(vals), vals, np.inf)
         return np.add.reduce(terms, axis=1, where=mask) <= 1.0
 
-    zero = np.zeros(rows.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # bracket the unique crossing of the modular through 1; a row that
-        # is infeasible at k doubles upward, a feasible one halves downward
-        up = ~feasible(W, R, live, k)
-        lo = np.where(up, k, k / 2.0)
-        hi = np.where(up, k * 2.0, k)
-        sel = np.arange(rows.size)
-        for step in range(2400):
-            if sel.size == 0:
-                break
-            u = up[sel]
-            if step == 1200 and np.any(u):
-                raise NumericError("luxemburg_norm: upper bracket not found")
-            # the bracket is found once feasibility flips from its start
-            probe = np.where(u, hi[sel], lo[sel])
-            sel = sel[feasible(W[sel], R[sel], live[sel], probe) != u]
-            u = up[sel]
-            lo[sel], hi[sel] = (np.where(u, hi[sel], lo[sel] / 2.0),
-                                np.where(u, hi[sel] * 2.0, lo[sel]))
-            if np.any(hi[sel][u] > 1e290):
-                raise NumericError("luxemburg_norm: upper bracket not found")
-            zero[sel[~u & (lo[sel] < 1e-300)]] = True
-            sel = sel[~zero[sel]]
-        else:
-            if sel.size:
-                raise NumericError("luxemburg_norm: lower bracket not found")
-        norm, bisect = _newton(phi, R, W, live, lo, hi, zero)
+        norm, bisect = _newton(phi, R, W, live, k)
         # walk each Newton norm up by ulps to the feasible side, then down
         # while the float below it is feasible too.  A row still walking at
         # the cap (Newton stalled in rounding, or stepped past the root on
-        # knots that are not convex) bisects between the walk and its bracket.
-        sel = np.flatnonzero(~bisect & ~zero)
+        # knots that are not convex) bisects from the walk's end.
+        lo, hi = np.zeros(rows.size), np.full(rows.size, np.inf)
+        sel = np.flatnonzero(~bisect)
         down = np.ones(sel.size, dtype=bool)
         for _ in range(_NUDGE_CAP):
             both = np.concatenate((sel, sel[down]))
@@ -295,34 +272,44 @@ def _luxemburg_rows(phi: YoungFunction, r: np.ndarray, W: np.ndarray) -> np.ndar
             hi[sel[down]] = norm[sel[down]]
             bisect[sel] = True
         hi = np.where(bisect, hi, norm)
-        # the rows left bisect onto their smallest feasible float
-        sel = np.flatnonzero(bisect & ~zero)
+        # the rows left bisect onto their smallest feasible float, from 0 or
+        # the walk's infeasible end to the walk's feasible end or inf.  inf is
+        # not evaluated, so a row is left there only if DBL_MAX is infeasible.
+        sel = np.flatnonzero(bisect)
         hi[sel] = _float_bisect(lambda k, i: feasible(W[sel[i]], R[sel[i]], live[sel[i]], k),
                                 lo[sel], hi[sel])[1]
-    out[rows] = np.where(zero | (hi < 1e-300), 0.0, hi)
+    if np.any(np.isinf(hi)):
+        raise NumericError("luxemburg_norm: the norm exceeds the double range")
+    out[rows] = np.where(hi < 1e-300, 0.0, hi)
     return out
 
 
-def _newton(phi, r, W, live, lo, hi, zero):
+def _newton(phi, r, W, live, k):
     """Newton on the convex modular M(lam) = sum w Phi(r lam), lam = 1/k,
-    from lam = 1/lo with _value_slope's slopes (at a knot the right one):
-    subgradients, so lam falls, and for a piecewise-linear Phi the step from
+    from lam = 1/k with _value_slope's slopes (at a knot the right one).
+    The first step is in log space, lam exp(-ln M / e) with the elasticity
+    e = lam M'/M, and is exact for s^p.  Newton's own first step may rise and
+    lands on the infeasible side of a convex M; from there the steps fall,
+    as slopes are subgradients, and for a piecewise-linear Phi the step from
     the root's piece lands on it.  Returns k = 1/lam, and the rows left to
-    bisect (a step not finite or past the feasible end 1/hi); sweeps skip finished rows."""
-    lam, bisect, sel = 1.0 / lo, np.zeros(lo.size, dtype=bool), np.flatnonzero(~zero)
-    for _ in range(_NEWTON_CAP):
+    bisect (a step to no finite lam > 0); sweeps skip finished rows."""
+    lam, bisect, sel = 1.0 / k, np.zeros(k.size, dtype=bool), np.arange(k.size)
+    for step in range(_NEWTON_CAP):
         if sel.size == 0:
             break
         w, rs, mask, at = W[sel], r[sel], live[sel], lam[sel]
         val, g = phi._value_slope(rs * at[:, None])
-        m = np.add.reduce(w * val, axis=1, where=mask) - 1.0
-        nxt = at - m / np.add.reduce(w * rs * g, axis=1, where=mask)
-        ok = nxt >= 1.0 / hi[sel]  # false if not finite or past the feasible end
+        m = np.add.reduce(w * val, axis=1, where=mask)
+        dm = np.add.reduce(w * rs * g, axis=1, where=mask)
+        # M = 0 (every term underflows) or inf (an overflow) takes no finite step
+        nxt = at * np.exp(-np.log(m) * m / (at * dm)) if step == 0 else at - (m - 1.0) / dm
+        ok = np.isfinite(nxt) & (nxt > 0)
         bisect[sel[~ok]] = True
-        go = ok & (nxt < at)
+        # the log step and Newton's first step may rise, later steps only fall
+        go = ok & ((nxt < at) | (nxt > at) & (step < 2))
         lam[sel[go]] = nxt[go]
         sel = sel[go]
-    else:  # Newton may visit every piece, or crawl for s^p at a large p
+    else:  # Newton may visit every piece of a table
         bisect[sel] = True
     return 1.0 / lam, bisect
 

@@ -277,6 +277,13 @@ def test_malformed_field_spec_exits_2(tmp_path, capsys, W):
 _VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._ARGTYPES)
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this isslab."""
+    src = str(Path(isslab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 @pytest.mark.parametrize("entry, module", [
     *(pytest.param("isslab.cli", m, id=m)
       for m in ["scipy.integrate", "scipy.special", "scipy.linalg", "scipy.sparse", "jsonschema"]),
@@ -289,27 +296,33 @@ _VENDORED_LAPACK = None not in map(fokker_planck._lapack_symbol, fokker_planck._
     pytest.param("isslab.fokker_planck", "isslab.orlicz", id="fokker_planck-orlicz"),
 ])
 def test_cli_import_defers_scipy_integrate(entry, module):
-    src = str(Path(isslab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     code = f"import sys, {entry}; sys.exit({module!r} in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
 
 def test_versions_name_scipy_only_when_the_run_loaded_it(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"command": "orlicz-norm", "params": {
         "young": {"kind": "identity"}, "signal": {"t0": 0, "t1": 1, "constant": 1.0}}})
-    src = str(Path(isslab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     fresh = tmp_path / "fresh"
     subprocess.run([sys.executable, "-m", "isslab.cli", "run", "--config", cfg,
-                    "--out", str(fresh), "--quiet"], env=env, check=True)
+                    "--out", str(fresh), "--quiet"], env=_src_env(), check=True)
     assert json.loads((fresh / "summary.json").read_text())["versions"]["scipy"] is None
     import scipy
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "loaded"), "--quiet"]) == 0
     versions = json.loads((tmp_path / "loaded" / "summary.json").read_text())["versions"]
     assert versions["scipy"] == scipy.__version__
+
+
+def test_simulate_diagonal_does_not_import_numpy_ma(tmp_path):
+    # np.unique (behind np.union1d) imports numpy.ma for its masked-array
+    # check; the window nodes are merged without it
+    cfg = write_config(tmp_path, "c.json", {"command": "simulate-diagonal", "params": {
+        "N": 8, "T": 4.0,
+        "u1": {"t0": 0.0, "t1": 4.0, "cells": 24, "amplitude": 1.0, "seed": 0}}})
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "run"), "--quiet"]
+    code = ("import sys; from isslab.cli import main; "
+            f"sys.exit(main({argv!r}) or 'numpy.ma' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
 
 def test_simulate_fp_command(tmp_path):
@@ -607,6 +620,16 @@ def test_overflowing_fp_model_exits_3(command, change):
         code, err = _run_quietly({"command": command, "params": {**_VALID[command], **change}})
     assert code == 3, err
     assert len(err.splitlines()) == 1, err
+    assert json.loads(err)["error"] == "numeric"
+
+
+def test_norm_past_the_double_range_exits_3():
+    # the L^2 norm of 1e308 on [0, 1e308] is 1e462: a numeric error, as a
+    # norm of inf would write Infinity, which is not JSON, to summary.json
+    code, err = _run_quietly({"command": "orlicz-norm", "params": {
+        "young": {"kind": "power", "p": 2},
+        "signal": {"t0": 0, "t1": 1e308, "constant": 1e308}}})
+    assert code == 3, err
     assert json.loads(err)["error"] == "numeric"
 
 

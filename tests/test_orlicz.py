@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isslab import orlicz
-from isslab.errors import DataError, DomainError, UnsupportedError
+from isslab.errors import DataError, DomainError, NumericError, UnsupportedError
 from isslab.orlicz import (
     YoungFunction,
     complementary,
@@ -28,6 +28,14 @@ ALL_KINDS = [
 
 # Phi through (0, 0), (1, 1), (2, 4), (4, 16), with slope 6 above s = 4
 HAND_PHI = YoungFunction.tabulated([[1.0, 1.0], [2.0, 4.0], [4.0, 16.0]])
+
+# knots that are not convex: slope 2.4 through (1/2.4, 1) up to s = 0.45, then
+# 0.1 or 0.5, so a unit cell on [0, 1] has norm 2.4; the last two are shallower
+# or flat below s = 0.4 or 0.35, where Newton's steps from k = 1 land
+NON_CONVEX = [YoungFunction.tabulated(knots) for knots in (
+    [[0.45, 1.08], [3.0, 1.335]], [[0.45, 1.08], [3.0, 2.355]],
+    [[0.1, 0.01], [0.4, 0.96], [0.45, 1.08], [3.0, 1.335]],
+    [[0.3, 0.0], [0.35, 0.84], [0.45, 1.08], [3.0, 1.335]])]
 
 
 # -- evaluation ------------------------------------------------------------
@@ -344,7 +352,7 @@ def test_prefix_norms_equal_luxemburg_norms(comp_loglog, kind, seed, cells, d,
     values[[z for z in zeros if z < cells]] = 0.0
     u = Signal(u.grid, values)
     # t = 0, every breakpoint, and points inside cells; short and long
-    # domains make rows bracket downward and upward over several steps
+    # domains put the norm far below and far above the start k = max r
     ends = np.concatenate([[0.0], u.grid[1:], length * np.asarray(inner, dtype=float)])
     got = prefix_luxemburg_norms(phi, u, ends)
     assert got.shape == ends.shape
@@ -408,43 +416,65 @@ def test_tabulated_norm_is_exact(grid, values, exact):
 
 
 @pytest.fixture(scope="module")
-def tables(comp_loglog):
-    return [complementary(YoungFunction.power(p)) for p in (1.1, 1.5, 7.0)] + [comp_loglog]
+def tight_kinds(comp_loglog):
+    # every kind but identity (whose norm is the L^1 sum), s^p at a large p,
+    # tables, and knots that are not convex
+    return [*(phi for phi in ALL_KINDS if phi.kind != "identity"), YoungFunction.power(300),
+            *(complementary(YoungFunction.power(p)) for p in (1.1, 1.5, 7.0)), comp_loglog,
+            HAND_PHI, *NON_CONVEX]
 
 
 @given(
-    kind=st.integers(min_value=0, max_value=3),
-    cells=st.lists(st.tuples(st.floats(min_value=-4.0, max_value=4.0),
-                             st.floats(min_value=-24.0, max_value=0.0)),
+    kind=st.integers(min_value=0, max_value=12),
+    cells=st.lists(st.tuples(st.floats(min_value=-300.0, max_value=300.0),
+                             st.floats(min_value=-320.0, max_value=5.0)),
                    min_size=1, max_size=8),
 )
-@settings(max_examples=150, deadline=None)
-def test_tabulated_norm_is_feasible_and_tight(tables, kind, cells):
-    # values from 1e-4 to 1e4 put some r/k below the first knot; widths down
-    # to 1e-24 put r/k above the last one.  Ascending widths keep the grid
+@settings(max_examples=300, deadline=None)
+def test_norm_is_feasible_and_tight(tight_kinds, kind, cells):
+    # values from 1e-300 to 1e300 and widths from 1e-320 (subnormal) to 1e5
+    # give norms that are 0 or near the top of the double range, modulars
+    # that underflow or overflow at the start k = max r, and r/k below a
+    # table's first knot or above its last.  Ascending widths keep the grid
     # strictly increasing.
     logv, logw = np.asarray(cells).T
     grid = np.concatenate([[0.0], np.cumsum(np.sort(10.0**logw))])
     u = Signal(grid, (10.0**logv).reshape(-1, 1))
-    phi = tables[kind]
+    phi = tight_kinds[kind]
     norm = luxemburg_norm(phi, u)
     r, w = u.cell_norms(), u.widths
+    if norm == 0.0:  # the smallest feasible float is below 1e-300
+        assert _modular(phi, r, w, 1e-300) <= 1.0
+        return
     assert _modular(phi, r, w, norm) <= 1.0
-    assert _modular(phi, r, w, (1 - 1e-13) * norm) > 1.0
+    assert _modular(phi, r, w, np.nextafter(norm, 0.0)) > 1.0
+
+
+def _bisected_rows(monkeypatch):
+    """A list that collects the number of rows of each _float_bisect call."""
+    rows, bisect = [], orlicz._float_bisect
+
+    def spy(test, lo, hi):
+        rows.append(lo.size)
+        return bisect(test, lo, hi)
+
+    monkeypatch.setattr(orlicz, "_float_bisect", spy)
+    return rows
 
 
 def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
-    # slope 2.4 up to s = 0.45, then 0.1: not convex.  The root s = 1/2.4
-    # (k = 2.4) lies in the steep piece and the bracket's infeasible end
-    # s = 1/2 in the shallow one, so Newton jumps past the feasible end and
-    # the row bisects to 2 ulps
+    # from k = 1 the log step lands at s = 0.238, below the slope-2.4 piece
+    # that holds the root s = 1/2.4 (k = 2.4).  With slope 3.17 on [0.1, 0.4]
+    # Newton rises to s = 0.413, and the exact step from there would rise
+    # again: Newton stops on a feasible k = 2.42, too far for the ulp steps
+    # down, and the row bisects.  With Phi = 0 on [0, 0.3] the next step is
+    # not finite, and the row bisects at once.
     u = Signal.constant(1.0, Interval(0.0, 1.0))
-    # with slope 0.5 above s = 0.45 the step lands at s = 0.29, past the root
-    # but not past the feasible end s = 1/4: Newton stops on a feasible k =
-    # 3.448, and the row bisects because the ulp steps down do not finish
-    for top in (1.335, 2.355):
-        phi = YoungFunction.tabulated([[0.45, 1.08], [3.0, top]])
+    rows = _bisected_rows(monkeypatch)
+    for phi in NON_CONVEX[2:]:
+        rows.clear()
         assert 2.4 <= luxemburg_norm(phi, u) <= 2.4 + 4 * np.spacing(2.4)
+        assert sum(rows) == 1
     # rows still falling when the sweeps run out bisect as well
     u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
     newton = luxemburg_norm(comp_loglog, u)
@@ -457,7 +487,7 @@ def test_tabulated_newton_falls_back_to_bisection(comp_loglog, monkeypatch):
 def test_newton_stopped_below_the_root_bisects(phi, monkeypatch):
     # a Newton norm 1e-9 low lies millions of ulps below the root, farther
     # than the ulp walk goes: the row bisects from the walk's last
-    # infeasible float to the bracket's feasible end, onto the same norm
+    # infeasible float up to inf, onto the same norm
     u = random_signal(3, 1, Interval(0.0, 1.0), 8, 1.0)
     exact = luxemburg_norm(phi, u)
     newton = orlicz._newton
@@ -468,6 +498,35 @@ def test_newton_stopped_below_the_root_bisects(phi, monkeypatch):
 
     monkeypatch.setattr(orlicz, "_newton", low)
     assert luxemburg_norm(phi, u) == exact
+
+
+@pytest.mark.parametrize("p", [2, 30, 100, 300])
+def test_power_norm_takes_no_bisection(p, monkeypatch):
+    # the log-space step is exact for s^p, so at any p Newton ends within
+    # the ulp walk of the root, and no row of a 600-cell signal bisects
+    u = random_signal(0, 1, Interval(0.0, 1.0), 600, 1.0)
+    rows = _bisected_rows(monkeypatch)
+    assert luxemburg_norm(YoungFunction.power(p), u) == pytest.approx(lp_norm(u, p), rel=1e-12)
+    assert not any(rows)
+
+
+def test_norm_past_the_double_range_raises():
+    # the norm of s^2 on one cell is r sqrt(w): up to DBL_MAX it is returned,
+    # smallest feasible float as always; past it the kernel raises
+    phi, top = YoungFunction.power(2), np.finfo(float).max
+
+    def cell(w, r):
+        return Signal(np.array([0.0, w]), np.array([[r]]))
+
+    for u in (cell(1e4, 1e300), cell(3.2, 1e308), cell(1.0, top)):
+        norm = luxemburg_norm(phi, u)
+        assert norm == pytest.approx(u.cell_norms()[0] * math.sqrt(u.widths[0]), rel=1e-15)
+        r, w = u.cell_norms(), u.widths
+        assert _modular(phi, r, w, norm) <= 1.0 < _modular(phi, r, w, np.nextafter(norm, 0.0))
+    assert luxemburg_norm(phi, cell(1.0, top)) == top
+    for u in (cell(4.0, 1e308), cell(1e300, 1e300), cell(1e308, 1e308)):
+        with pytest.raises(NumericError, match="double range"):
+            luxemburg_norm(phi, u)
 
 
 def test_tabulated_knot_values_must_not_decrease():
