@@ -36,7 +36,6 @@ __all__ = [
     "closed_form_exponents",
     "closed_form_solution",
     "closed_form_trajectory",
-    "mode_admissibility_l2",
     "verify_kn_bound",
     "lp_admissibility_scan",
     "example3_admissibility",
@@ -123,19 +122,6 @@ def closed_form_trajectory(m: SystemModel, x0, u, times) -> Trajectory:
 # ---------------------------------------------------------------------------
 # admissibility arithmetic
 # ---------------------------------------------------------------------------
-
-
-def mode_admissibility_l2(lam: float, b: float, t: float) -> float:
-    """Cauchy-Schwarz upper bound b*sqrt((1-e^{2 lam t})/(2|lam|)) for the
-    L^2-admissibility constant of one stable scalar mode.
-
-    The bound is attained by the matched input u(s) proportional to
-    e^{lam(t-s)}, so it is also the exact constant.  t may be inf.
-    """
-    if lam >= 0:
-        raise DomainError("mode_admissibility_l2 needs lam < 0")
-    decay = 0.0 if math.isinf(t) else math.exp(2.0 * lam * t)
-    return abs(b) * math.sqrt((1.0 - decay) / (2.0 * abs(lam)))
 
 
 def verify_kn_bound(n: int, t: float) -> dict:

@@ -28,9 +28,10 @@ only multiply and add, so factors that underflow to 0 stay exact.
 The rule is symmetric, so its error expands in powers of h^2.  Each window
 is solved on its nodes (x_h) and with every cell bisected (x_{h/2}), and one
 Richardson step, (4 x_{h/2} - x_h) / 3 at the nodes, makes it fourth order;
-the next window starts from that state.  The bisected solve starts warm:
-shared nodes take x_h and each midpoint its left node times T(h/2), so a
-mode that x_h holds at 0 stays 0 there.
+the next window starts from that state.  The two grids are two rows of one
+solve, the coarse row padded with zero-width cells (each the identity map),
+and its sweeps start from the free evolution: a mode at 0 that u2 does not
+force stays exactly 0, since its forcing mu u1 x is 0.
 """
 
 from __future__ import annotations
@@ -165,36 +166,36 @@ def _l2_norms(u: Signal):
 
 
 def _picard(model: SystemModel, x_a: np.ndarray, nodes: np.ndarray,
-            u1: Signal | None, u2: Signal | None, tol: float,
-            x: np.ndarray | None = None) -> np.ndarray | None:
-    """Node states of one window, or None if _PICARD_CAP sweeps do not
-    bring successive iterates within tol; the sweeps start from the node
-    states x if given, else from the free evolution."""
+            u1: Signal | None, u2: Signal | None, tol: float) -> np.ndarray | None:
+    """Node states of one window for each row of nodes (rows, n), or None if
+    _PICARD_CAP sweeps from the free evolution leave successive iterates of
+    some row apart by more than tol.  A zero-width cell has g = 1 and c = 0,
+    the identity map bit for bit, so padding keeps a row's real-node states."""
     dts = np.diff(nodes)
-    half = 0.5 * dts[:, None]
-    growth = np.exp(dts[:, None] * model.lam)
+    half = 0.5 * dts[..., None]
+    growth = np.exp(dts[..., None] * model.lam)
     # inputs are constant per quadrature cell: nodes include every breakpoint
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    v1 = u1.value_at(mids) if u1 is not None else np.zeros((dts.size, 1))
+    mids = 0.5 * (nodes[..., :-1] + nodes[..., 1:])
+    v1 = u1.value_at(mids) if u1 is not None else 0.0
     b2 = u2.value_at(mids) if u2 is not None else 0.0
-    iterates = np.empty((2, nodes.size, model.dim))
-    iterates[:, 0] = x_a
-    c = np.zeros(growth.shape)  # zero forcing gives the free evolution
+    iterates = np.empty((2, *nodes.shape, model.dim))
+    iterates[..., 0, :] = x_a
+    c, x = np.zeros(growth.shape), None  # zero forcing gives the free evolution
     for k in range(_PICARD_CAP + 1):
         if x is not None:
             # c_j = g_j w_{j-1} + w_j, the forcings at both ends of cell j
-            c = (growth * (half * (model.mu * (v1 * x[:-1]) + b2))
-                 + half * (model.mu * (v1 * x[1:]) + b2))
+            c = (growth * (half * (model.mu * (v1 * x[..., :-1, :]) + b2))
+                 + half * (model.mu * (v1 * x[..., 1:, :]) + b2))
         # inclusive Hillis-Steele scan of the affine maps x -> g x + c
         g, s = growth.copy(), 1
-        while s < dts.size:
-            c[s:] = g[s:] * c[:-s] + c[s:]
-            g[s:] *= g[:-s]
+        while s < dts.shape[-1]:
+            c[..., s:, :] = g[..., s:, :] * c[..., :-s, :] + c[..., s:, :]
+            g[..., s:, :] *= g[..., :-s, :]
             s *= 2
         x_new = iterates[k % 2]
-        np.multiply(g, x_a, out=x_new[1:])
-        x_new[1:] += c
-        if x is not None and math.sqrt(np.square(x_new - x).sum(axis=1).max()) <= tol:
+        np.multiply(g, x_a, out=x_new[..., 1:, :])
+        x_new[..., 1:, :] += c
+        if x is not None and math.sqrt(np.square(x_new - x).sum(axis=-1).max()) <= tol:
             return x_new
         x = x_new
     return None
@@ -233,19 +234,17 @@ def solve_mild(model: SystemModel, x0, u1: Signal | None, u2: Signal | None,
             ok &= model.adm_c * norms(a, a + ladder) <= bound
         for delta in ladder[ok]:
             nodes = _window_nodes(a, min(a + delta, T), u1, u2, quad_h)
-            coarse = _picard(model, x_a, nodes, u1, u2, tol)
-            if coarse is None:
-                continue
-            # x_{h/2}, started warm from x_h (see the module docstring)
-            fine, guess = np.repeat(nodes, 2)[:-1], np.repeat(coarse, 2, axis=0)[:-1]
-            fine[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-            guess[1::2] *= np.exp((fine[1::2] - nodes[:-1])[:, None] * model.lam)
-            x = _picard(model, x_a, fine, u1, u2, tol, guess)
-            if x is not None:
+            # x_h padded with zero-width cells, and x_{h/2}: one solve of two rows
+            rows = np.stack((np.append(nodes, np.repeat(nodes[-1], nodes.size - 1)),
+                             np.repeat(nodes, 2)[:-1]))
+            rows[1, 1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+            both = _picard(model, x_a, rows, u1, u2, tol)
+            if both is not None:
                 break
         else:
             raise NumericError(f"solve_mild: no window at t={a} both contracts and lets the "
                                f"Picard iteration converge (delta floor {_DELTA_FLOOR} reached)")
+        coarse, x = both[0, :nodes.size], both[1]
         err = np.max(np.abs(x[::2] - coarse), axis=1) / 3.0
         x = (4.0 * x[::2] - coarse) / 3.0
         over = np.flatnonzero(np.linalg.norm(x, axis=1) > BLOWUP_THRESHOLD)

@@ -1,11 +1,12 @@
 """Independent reference implementations that tests compare the library
 against: the exact L^p norm of a piecewise-constant signal, both sides of the
 generalized Hoelder inequality (holder_pair), the terms of the Carleson-type
-series that rules out L^p-admissibility (carleson_series_term), a writer and a
-reader for the CSV artifacts of write_csv, a Crank-Nicolson step that factors
-on every call, the gain-constant bisection over every point of a run,
-Simpson's rule for the integral of the k_n certificate, and the audit-iss
-rows computed case by case."""
+series that rules out L^p-admissibility (carleson_series_term), the exact
+L^2-admissibility constant of one stable mode (mode_admissibility_l2), a
+writer and a reader for the CSV artifacts of write_csv, a Crank-Nicolson step
+that factors on every call, the gain-constant bisection over every point of
+a run, Simpson's rule for the integral of the k_n certificate, and the
+audit-iss rows computed case by case."""
 
 import csv
 import math
@@ -64,6 +65,19 @@ def carleson_series_term(p: float, n: int, log10: bool = False) -> float:
             "carleson_series_term: value exceeds double range; use log10=True"
         )
     return 10.0**lg
+
+
+def mode_admissibility_l2(lam: float, b: float, t: float) -> float:
+    """Cauchy-Schwarz upper bound b*sqrt((1-e^{2 lam t})/(2|lam|)) for the
+    L^2-admissibility constant of one stable scalar mode.
+
+    The bound is attained by the matched input u(s) proportional to
+    e^{lam(t-s)}, so it is also the exact constant.  t may be inf.
+    """
+    if lam >= 0:
+        raise DomainError("mode_admissibility_l2 needs lam < 0")
+    decay = 0.0 if math.isinf(t) else math.exp(2.0 * lam * t)
+    return abs(b) * math.sqrt((1.0 - decay) / (2.0 * abs(lam)))
 
 
 def dense(bands: np.ndarray) -> np.ndarray:

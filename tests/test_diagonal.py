@@ -12,14 +12,13 @@ from isslab.diagonal import (
     example3_admissibility,
     example3_model,
     lp_admissibility_scan,
-    mode_admissibility_l2,
     stable_model,
     verify_kn_bound,
 )
 from isslab.errors import DataError, DomainError, NumericError
 from isslab.orlicz import YoungFunction, luxemburg_norm
 from isslab.signals import Interval, Signal, random_signal
-from reference import carleson_series_term, kn_integral_simpson
+from reference import carleson_series_term, kn_integral_simpson, mode_admissibility_l2
 
 
 def test_example3_model_values():

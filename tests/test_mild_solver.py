@@ -17,13 +17,13 @@ from isslab.diagonal import (
     closed_form_solution,
     closed_form_trajectory,
     example3_model,
-    mode_admissibility_l2,
     stable_model,
 )
-from isslab.errors import DataError, DomainError
+from isslab.errors import DataError, DomainError, NumericError
 from isslab.mild_solver import SystemModel, Trajectory, _l2_norms, solve_mild
 from isslab.orlicz import YoungFunction, small_interval_norm
 from isslab.signals import Interval, Signal, random_signal, restrict
+from reference import mode_admissibility_l2
 
 
 def scalar_model(lam: float, mu: float = 1.0) -> SystemModel:
@@ -117,6 +117,32 @@ def test_scan_with_underflowing_and_growing_factors():
     assert traj.status == "complete" and traj.grid[-1] == 2.0
     assert np.all(traj.states[1:, 0] == 0.0)
     assert np.max(np.abs(traj.states - exact)) <= 1e-6
+
+
+def test_zero_width_padding_is_the_identity():
+    # a cell of zero width has g = 1 and c = 0, so padding a row with them
+    # leaves every state at its real nodes bit-identical
+    model = example3_model(3)
+    u1 = random_signal(5, 1, Interval(0.0, 2.0), 9, 1.0)
+    u2 = random_signal(6, 3, Interval(0.0, 2.0), 7, 0.5)
+    x_a = np.array([1.0, 0.0, -0.5])
+    nodes = mild_solver._window_nodes(0.0, 0.3, u1, u2, 2e-3)
+    padded = np.append(nodes, np.repeat(nodes[-1], nodes.size - 1))
+    plain = mild_solver._picard(model, x_a, nodes[None, :], u1, u2, 1e-10)
+    both = mild_solver._picard(model, x_a, padded[None, :], u1, u2, 1e-10)
+    assert plain is not None and both is not None
+    assert np.array_equal(both[0, :nodes.size], plain[0])
+
+
+def test_mode_started_at_zero_stays_exactly_zero():
+    # with u2 = None the forcing of a mode is mu u1 x, which is 0 where x is,
+    # so every sweep and both grids of each window keep that mode at 0
+    u1 = random_signal(5, 1, Interval(0.0, 2.0), 9, 1.0)
+    assert np.all(u1.values != 0.0)
+    traj = solve_mild(example3_model(3), [1.0, 0.0, -0.5], u1, None, 2.0)
+    assert traj.status == "complete" and traj.grid[-1] == 2.0
+    assert np.all(traj.states[:, 1] == 0.0)
+    assert np.all(traj.states[:, [0, 2]] != 0.0)
 
 
 def test_oracle_agreement_n14():
@@ -301,6 +327,23 @@ def test_blowup_of_example_model_under_large_control():
     assert traj.status == "blowup"
     assert traj.t_blowup == 0.35286891681817745
     assert traj.grid.size == 9124
+
+
+def test_window_ladder_falls_back_to_lower_rungs(monkeypatch):
+    # the ladder's for/else: a window whose sweeps do not converge tries the
+    # next rung down, and one that no rung lets converge raises
+    model, x0 = example3_model(3), np.ones(3)
+    u1 = random_signal(5, 1, Interval(0.0, 2.0), 9, 1.0)
+    default = solve_mild(model, x0, u1, None, 2.0, quad_h=2e-3)
+    monkeypatch.setattr(mild_solver, "_PICARD_CAP", 4)
+    capped = solve_mild(model, x0, u1, None, 2.0, quad_h=2e-3)
+    assert capped.status == "complete" and capped.grid[-1] == 2.0
+    assert capped.grid.size > default.grid.size
+    oracle = closed_form_trajectory(model, x0, u1, capped.grid)
+    assert np.max(np.abs(capped.states - oracle.states)) <= 1e-6
+    monkeypatch.setattr(mild_solver, "_PICARD_CAP", 0)
+    with pytest.raises(NumericError, match="delta floor"):
+        solve_mild(model, x0, u1, None, 2.0, quad_h=2e-3)
 
 
 def test_solver_import_does_not_load_orlicz():
